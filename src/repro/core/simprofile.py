@@ -504,10 +504,12 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
         raise RuntimeError(
             f"synthesized firmware for {name} exceeded its instruction "
             f"budget ({limit}): builder/replay disagree")
-    return ClassSim(
+    sim = ClassSim(
         name=name, estimated_cycles=estimated,
         sim_cycles=profile.total_cycles, analytic_cycles=analytic,
         instructions=emulator.machine.instret, scale=scale, profile=profile)
+    emulator.release()
+    return sim
 
 
 def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,

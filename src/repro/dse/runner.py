@@ -212,16 +212,9 @@ def evaluate_design(model, board, parameters, family):
 _WORKER_STATE = {}
 
 
-def _init_fig7_worker(model, board, compile_cache_dir=None):
+def _init_fig7_worker(model, board):
     _WORKER_STATE["model"] = model
     _WORKER_STATE["board"] = board
-    if compile_cache_dir is not None:
-        # Point the process-wide code cache at the shared directory so
-        # every simulation-backed evaluation in this worker binds
-        # tier-2 blocks and compiled RTL instead of regenerating them.
-        from ..core.codecache import configure
-
-        configure(compile_cache_dir)
 
 
 def _fig7_worker_evaluate(task):
@@ -240,24 +233,12 @@ class Fig7Evaluator:
     hits/misses and fit rejections.
     """
 
-    def __init__(self, model=None, board=ARTY_A7_35T, cache=None, tracer=None,
-                 sim_backend="auto", compile_cache=None):
+    def __init__(self, model=None, board=ARTY_A7_35T, cache=None, tracer=None):
         self.model = model or load("mobilenet_v2", width_multiplier=0.75,
                                    num_classes=100)
         self.board = board
         self.cache = cache if cache is not None else EvaluationCache()
         self.tracer = tracer if tracer is not None else Tracer()
-        #: ISA execution tier for simulation-backed evaluation steps
-        #: (see :data:`repro.cpu.machine.SIM_BACKENDS`).  The stock
-        #: analytic oracle performs no ISA simulation, so this only
-        #: affects evaluators that cross-validate on the simulator.
-        self.sim_backend = sim_backend
-        #: Persistent tier-2/RTL compile cache for simulation-backed
-        #: evaluation (a CodeCache, a directory path, or True for the
-        #: process default); the analytic oracle itself never compiles.
-        from ..emu.renode import _resolve_compile_cache
-
-        self.compile_cache = _resolve_compile_cache(compile_cache)
 
     def cache_key(self, parameters, family):
         return cache_key(parameters, family,
@@ -320,7 +301,7 @@ class Fig7Evaluator:
 
 def run_fig7(trials_per_family=120, seed=0, evaluator=None,
              algorithm_factory=None, workers=1, batch=None, cache_dir=None,
-             tracer=None, sim_backend="auto", compile_cache_dir=None):
+             tracer=None):
     """Run the three studies and return a :class:`DseResult`.
 
     ``workers`` shards each suggestion batch across processes;
@@ -329,24 +310,12 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
     or parallel.  ``cache_dir`` persists evaluations across runs — a
     warm rerun performs zero fresh evaluations.  ``tracer`` (or the
     evaluator's own) collects per-trial spans, per-family progress
-    events, and cache/fit counters.  ``sim_backend`` picks the ISA
-    execution tier for simulation-backed evaluators (the stock analytic
-    oracle simulates nothing, so for it the knob is recorded but inert);
-    it is validated eagerly and stamped on the run trace.
-    ``compile_cache_dir`` shares one persistent tier-2/RTL compile
-    cache across every worker process, so a firmware common to many
-    trials compiles once for the whole fleet.
+    events, and cache/fit counters.
     """
-    from ..cpu.machine import SIM_BACKENDS
-
-    if sim_backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown sim backend {sim_backend!r}"
-            f" (expected one of {', '.join(SIM_BACKENDS)})")
     if evaluator is None:
         tracer = tracer if tracer is not None else Tracer()
         evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir),
-                                  tracer=tracer, sim_backend=sim_backend)
+                                  tracer=tracer)
     else:
         if cache_dir is not None:
             evaluator.cache = EvaluationCache(cache_dir)
@@ -354,27 +323,21 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
             evaluator.tracer = tracer  # one tracer owns the whole run
         else:
             tracer = evaluator.tracer
-        evaluator.sim_backend = sim_backend
     algorithm_factory = algorithm_factory or (lambda: RegularizedEvolution())
     batch = DEFAULT_BATCH if batch is None else batch
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if compile_cache_dir is not None:
-        from ..core.codecache import CodeCache
-
-        evaluator.compile_cache = CodeCache(str(compile_cache_dir))
     result = DseResult()
     pool = None
     if workers > 1:
         pool = WorkerPool(workers, initializer=_init_fig7_worker,
-                          initargs=(evaluator.model, evaluator.board,
-                                    compile_cache_dir))
+                          initargs=(evaluator.model, evaluator.board))
     try:
         for family in CFU_FAMILIES:
             tracer.event("family_start", family=family,
-                         budget=trials_per_family, sim_backend=sim_backend)
+                         budget=trials_per_family)
             study = Study(
                 space=vexriscv_space(),
                 goals=[MetricGoal("cycles"), MetricGoal("logic_cells")],

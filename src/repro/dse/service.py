@@ -36,27 +36,26 @@ loop.  This module is that shape for the reproduction:
   studies, and each study caps its in-flight leases at
   ``max_inflight``, so concurrent studies share one worker pool.
 
-The server is single-threaded asyncio with synchronous handlers, so
-every state transition is atomic with respect to the wire — no locks.
-Failure injection for the test suite lives in :class:`FaultInjector`.
+This module holds the service and its route table; the HTTP server,
+``FaultInjector``, ``ServiceThread`` and ``serve`` are the shared wire
+layer, :mod:`repro.core.wire`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 
 from ..core.metrics import MetricsRegistry
+from ..core.wire import FaultInjector, HttpError, HttpServer, json_bytes, serve
+from ..core.wire import ServerThread as ServiceThread
 from .algorithms import GridSearch, RandomSearch, RegularizedEvolution, TpeLite
 from .pareto import pareto_front
 from .runner import DEFAULT_BATCH
 from .space import Parameter, ParameterSpace, vexriscv_space
 from .store import CLAIMED, COMPLETED, PENDING, StudyStore, TrialRecord
 from .study import MetricGoal, Study
-
-SERVICE_SCHEMA_VERSION = 1
 
 #: Seconds a worker holds a claimed trial before it is re-issued.
 DEFAULT_LEASE_SECONDS = 60.0
@@ -80,12 +79,8 @@ ALGORITHMS = {
 }
 
 
-class ServiceError(Exception):
+class ServiceError(HttpError):
     """A request the service refuses; carries the HTTP status."""
-
-    def __init__(self, message, status=400):
-        super().__init__(message)
-        self.status = status
 
 
 def build_space(spec):
@@ -151,41 +146,6 @@ def normalize_config(config):
 
 def resource_name(owner, study_id):
     return f"owners/{owner}/studies/{study_id}"
-
-
-class FaultInjector:
-    """Planned failures for the adversarial suite.
-
-    ``plan(route, count, kind)`` queues faults on a logical route
-    (``"suggest"``, ``"complete"``, ``"work"``, ...): ``"error"``
-    answers with an HTTP 5xx, ``"drop"`` severs the connection without
-    executing the handler, and ``"drop_after"`` executes the handler
-    but severs the connection before the response — the lost-response
-    case that forces the client to retry an already-applied request.
-    Faults are consumed FIFO, one per matching request.
-    """
-
-    def __init__(self):
-        self._plans = {}
-        self.injected = 0
-
-    def plan(self, route, count=1, kind="error", status=500):
-        if kind not in ("error", "drop", "drop_after"):
-            raise ValueError(f"unknown fault kind {kind!r}")
-        self._plans.setdefault(route, []).extend([(kind, status)] * count)
-
-    def take(self, route):
-        plans = self._plans.get(route)
-        if plans:
-            self.injected += 1
-            return plans.pop(0)
-        return None
-
-    def pending(self):
-        return sum(len(v) for v in self._plans.values())
-
-    def clear(self):
-        self._plans.clear()
 
 
 class ServiceStudy:
@@ -579,6 +539,9 @@ class DseService:
             self.studies[study.resource_name] = study
         self._export_active()
 
+    def http_server(self, host="127.0.0.1", port=0):
+        return DseHttpServer(self, host, port)
+
     def _export_active(self):
         self.metrics.gauge("dse_studies_active").set(
             sum(1 for s in self.studies.values() if s.state == ACTIVE))
@@ -638,138 +601,17 @@ class DseService:
 
 
 # --------------------------------------------------------------------------------
-# The HTTP layer: a minimal, dependency-free HTTP/1.1 server on asyncio
-# streams.  Handlers are synchronous, so every state mutation is atomic
-# with respect to the event loop.
+# The HTTP layer: the route table over :mod:`repro.core.wire`.
 # --------------------------------------------------------------------------------
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            409: "Conflict", 500: "Internal Server Error",
-            503: "Service Unavailable"}
 
-
-async def _read_request(reader):
-    """One HTTP/1.1 request -> (method, path, headers, body) or None."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return None
-    if not line or line in (b"\r\n", b"\n"):
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split(" ", 2)
-    except ValueError:
-        return None
-    headers = {}
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, headers, body
-
-
-def _json_bytes(status, payload):
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n\r\n").encode("latin-1")
-    return head + body
-
-
-class DseHttpServer:
+class DseHttpServer(HttpServer):
     """Serves a :class:`DseService` over HTTP/1.1."""
 
-    def __init__(self, service, host="127.0.0.1", port=0):
-        self.service = service
-        self.host = host
-        self.port = port
-        self._server = None
-
-    async def start(self):
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def wait_closed(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    @property
-    def url(self):
-        return f"http://{self.host}:{self.port}"
-
-    # --- connection loop ----------------------------------------------------------
-    async def _handle_connection(self, reader, writer):
-        try:
-            while True:
-                request = await _read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                keep_open = await self._handle_request(
-                    method, target, body, writer)
-                if not keep_open:
-                    break
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown: close the socket and finish quietly
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, method, target, body, writer):
-        path, _, _query = target.partition("?")
-        parts = [p for p in path.split("/") if p]
-        route, handler = self._route(method, parts)
-        self.service.metrics.counter("dse_http_requests", route=route).inc()
-        fault = self.service.faults.take(route)
-        drop_response = False
-        if fault is not None:
-            kind, status = fault
-            if kind == "drop":
-                return False  # sever before the handler runs
-            if kind == "drop_after":
-                drop_response = True  # run the handler, lose the response
-            else:
-                writer.write(_json_bytes(status,
-                                         {"error": "injected fault"}))
-                await writer.drain()
-                return True
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            writer.write(_json_bytes(400, {"error": "malformed JSON body"}))
-            await writer.drain()
-            return True
-        if route == "pareto-stream":
-            await self._stream_pareto(parts[1], parts[2], writer)
-            return False  # streams close the connection when done
-        try:
-            status, result = handler(parts, payload)
-        except ServiceError as error:
-            status, result = error.status, {"error": str(error)}
-        except Exception as error:  # never kill the connection loop
-            status, result = 500, {"error": f"internal error: {error!r}"}
-        if drop_response:
-            return False  # the work is applied; the acknowledgment is lost
-        writer.write(_json_bytes(status, result))
-        await writer.drain()
-        return True
+    counter = "dse_http_requests"
 
     def _route(self, method, parts):
-        service = self.service
+        service = self.app
         if method == "GET" and parts == ["healthz"]:
             return "healthz", lambda p, b: (200, {"ok": True})
         if method == "GET" and parts == ["metrics"]:
@@ -810,17 +652,17 @@ class DseHttpServer:
 
     # --- handlers -----------------------------------------------------------------
     def _create(self, parts, payload):
-        study = self.service.create_study(payload)
+        study = self.app.create_study(payload)
         return 200, study.status()
 
     def _work(self, parts, payload):
         worker_id = str(payload.get("worker_id", "worker"))
         count = int(payload.get("count", 1))
-        trials = self.service.work(worker_id, count)
-        return 200, {"trials": trials, "done": self.service.all_done()}
+        trials = self.app.work(worker_id, count)
+        return 200, {"trials": trials, "done": self.app.all_done()}
 
     def _suggest(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
+        study = self.app.get_study(parts[1], parts[2])
         worker_id = str(payload.get("worker_id", "worker"))
         count = int(payload.get("count", 1))
         granted = study.claim(worker_id, count)
@@ -829,7 +671,7 @@ class DseHttpServer:
                      "state": study.state}
 
     def _complete(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
+        study = self.app.get_study(parts[1], parts[2])
         trial_id = int(parts[4])
         result = study.complete(
             trial_id,
@@ -844,12 +686,12 @@ class DseHttpServer:
         return 200, result
 
     def _complete_batch(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
+        study = self.app.get_study(parts[1], parts[2])
         results = study.complete_batch(payload.get("completions", []))
         return 200, {"results": results, "state": study.state}
 
     def _trials(self, parts, payload):
-        study = self.service.get_study(parts[1], parts[2])
+        study = self.app.get_study(parts[1], parts[2])
         return 200, {
             "study": study.resource_name,
             "family": study.config["family"],
@@ -861,13 +703,14 @@ class DseHttpServer:
             ],
         }
 
-    async def _stream_pareto(self, owner, study_id, writer):
-        """Chunked NDJSON: the current front immediately, then one line
-        per front change, ending when the study finishes."""
+    async def _stream(self, route, parts, writer):
+        """``pareto-stream`` as chunked NDJSON: the current front
+        immediately, then one line per front change, ending when the
+        study finishes."""
         try:
-            study = self.service.get_study(owner, study_id)
+            study = self.app.get_study(parts[1], parts[2])
         except ServiceError as error:
-            writer.write(_json_bytes(error.status, {"error": str(error)}))
+            writer.write(json_bytes(error.status, {"error": str(error)}))
             await writer.drain()
             return
         writer.write(b"HTTP/1.1 200 OK\r\n"
@@ -890,65 +733,3 @@ class DseHttpServer:
         finally:
             study.unsubscribe(queue)
 
-
-def serve(service, host="127.0.0.1", port=8733):
-    """Blocking entry point (``repro dse serve``)."""
-    async def _main():
-        server = await DseHttpServer(service, host, port).start()
-        await server._server.serve_forever()
-    asyncio.run(_main())
-
-
-class ServiceThread:
-    """A served :class:`DseService` on a background thread (tests, the
-    benchmark harness, and ``repro dse --service-url``-less local runs).
-
-    >>> handle = ServiceThread(DseService(store_dir=...))  # doctest: +SKIP
-    >>> client = ServiceClient(handle.url)
-    >>> ...
-    >>> handle.stop()
-    """
-
-    def __init__(self, service, host="127.0.0.1", port=0):
-        self.service = service
-        self._http = DseHttpServer(service, host, port)
-        self._loop = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("DSE service thread failed to start")
-
-    def _run(self):
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        loop.run_until_complete(self._http.start())
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self._http.wait_closed())
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True))
-            loop.close()
-
-    @property
-    def url(self):
-        return self._http.url
-
-    def stop(self):
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False

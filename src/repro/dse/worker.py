@@ -2,7 +2,7 @@
 
 A worker is a plain loop: pull a suggestion batch from the service
 (``POST /work`` — round-robined across every active study), evaluate
-each trial with the tiered-simulator-backed :class:`Fig7Evaluator`
+each trial with the analytic :class:`Fig7Evaluator`
 (served from the content-addressed evaluation cache when warm), and
 complete the trial over the wire.  Workers are deliberately stateless:
 any number can run in threads, processes, or on other hosts, a killed
@@ -10,10 +10,11 @@ worker loses nothing (its leases expire and the trials are re-issued),
 and a worker that outlives a server restart simply retries until the
 resumed server re-adopts its leases.
 
-:class:`ServiceClient` is the transport: stdlib ``http.client`` with
-exponential retry/backoff on connection errors, timeouts, and HTTP
-5xx.  Claim loss is handled at the protocol layer — a completion whose
-response was lost is retried idempotently (same lease token), and a
+:class:`ServiceClient` is a retry policy over the shared transport
+(:class:`~repro.core.wire.JsonClient`): exponential backoff on
+connection errors, timeouts, and HTTP 5xx, while a 4xx is never
+resent.  Claim loss is handled at the protocol layer — a completion
+whose response was lost is retried idempotently (same lease token), and a
 completion whose lease was re-issued after expiry comes back as a
 :class:`StaleLeaseError` that the worker logs and drops, so retries can
 never double-count a trial.
@@ -26,12 +27,11 @@ golden-equal to the in-process ``run_fig7`` engine.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
-import urllib.parse
 
+from ..core.wire import TRANSPORT_ERRORS, JsonClient, ResponseError
 from .cache import EvaluationCache
 from .runner import CFU_FAMILIES, DEFAULT_BATCH, DsePoint, DseResult, Fig7Evaluator
 
@@ -43,22 +43,19 @@ class ServiceUnavailable(ConnectionError):
     """The service stayed unreachable through every retry."""
 
 
-class ClientError(RuntimeError):
+class ClientError(ResponseError):
     """A 4xx the client must not retry."""
-
-    def __init__(self, status, payload):
-        super().__init__(f"HTTP {status}: {payload.get('error', payload)}")
-        self.status = status
-        self.payload = payload
 
 
 class StaleLeaseError(ClientError):
     """The trial's lease was re-issued (or completed) elsewhere."""
 
 
-class ServiceClient:
+class ServiceClient(JsonClient):
     """JSON-over-HTTP client with retry/backoff on transient failures.
 
+    Connection errors, timeouts and 5xx responses are retried; a 4xx
+    means the request itself was refused, so it raises at once.
     ``sleep`` is injectable so the fault-injection suite converges
     without real waiting; backoff is exponential from ``backoff`` up to
     ``backoff_cap`` seconds.
@@ -67,90 +64,37 @@ class ServiceClient:
     def __init__(self, base_url, worker_id="worker-0", timeout=30.0,
                  max_retries=8, backoff=0.05, backoff_cap=2.0,
                  sleep=time.sleep):
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme not in ("http", ""):
-            raise ValueError(f"unsupported scheme in {base_url!r}")
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
+        super().__init__(base_url, timeout)
         self.worker_id = worker_id
-        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.sleep = sleep
         self.retries = 0  # transient failures survived (observability)
-        self._conn = None
-
-    # --- transport ----------------------------------------------------------------
-    def _connection(self):
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
-
-    def _drop_connection(self):
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
 
     def request(self, method, path, payload=None):
         """One API call; retries transient failures, raises
         :class:`ClientError` subclasses on 4xx and
         :class:`ServiceUnavailable` when retries are exhausted."""
-        body = json.dumps(payload).encode() if payload is not None else b""
-        attempt = 0
-        while True:
-            try:
-                conn = self._connection()
-                conn.request(method, path, body=body,
-                             headers={"Content-Type": "application/json"})
-                response = conn.getresponse()
-                data = response.read()
-                status = response.status
-            except (OSError, http.client.HTTPException) as error:
-                self._drop_connection()
-                attempt += 1
-                self.retries += 1
-                if attempt > self.max_retries:
-                    raise ServiceUnavailable(
-                        f"{method} {path} failed after "
-                        f"{self.max_retries} retries: {error!r}") from error
+        for attempt in range(self.max_retries + 1):
+            if attempt:
                 self.sleep(min(self.backoff_cap,
                                self.backoff * (2 ** (attempt - 1))))
-                continue
             try:
-                result = json.loads(data.decode("utf-8")) if data else {}
-            except ValueError:
-                result = {"error": data.decode("utf-8", "replace")}
-            if status >= 500:
-                attempt += 1
-                self.retries += 1
-                if attempt > self.max_retries:
-                    raise ServiceUnavailable(
-                        f"{method} {path}: HTTP {status} persisted through "
-                        f"{self.max_retries} retries")
-                self.sleep(min(self.backoff_cap,
-                               self.backoff * (2 ** (attempt - 1))))
-                continue
-            if status == 409:
-                raise StaleLeaseError(status, result)
-            if status >= 400:
-                raise ClientError(status, result)
-            return result
-
-    def close(self):
-        self._drop_connection()
+                status, result = self.send(method, path, payload)
+            except TRANSPORT_ERRORS as error:
+                status, result = None, repr(error)
+            if status is not None and status < 500:
+                if status >= 400:
+                    cls = StaleLeaseError if status == 409 else ClientError
+                    raise cls(status, result)
+                return result
+            self.retries += 1
+        raise ServiceUnavailable(
+            f"{method} {path} failed after {self.max_retries} retries: "
+            f"{result if status is None else f'HTTP {status}'}")
 
     # --- API surface --------------------------------------------------------------
-    def healthz(self):
-        return self.request("GET", "/healthz")
-
-    def metrics(self):
-        return self.request("GET", "/metrics")
-
     def create_study(self, config):
         return self.request("POST", "/studies", config)
 
@@ -209,18 +153,14 @@ class ServiceClient:
     def stream_pareto(self, owner, study_id):
         """Yield Pareto-front updates as the study progresses (a
         dedicated streaming connection; ends when the study finishes)."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        conn = self.connect()
         try:
             conn.request("GET", f"/studies/{owner}/{study_id}/pareto-stream")
             response = conn.getresponse()
             if response.status != 200:
                 raise ClientError(response.status,
                                   json.loads(response.read() or b"{}"))
-            while True:
-                line = response.readline()
-                if not line:
-                    break
+            for line in iter(response.readline, b""):
                 yield json.loads(line)
         finally:
             conn.close()
@@ -245,7 +185,7 @@ class WorkerStats:
 def run_worker(base_url, worker_id="worker-0", evaluator=None,
                cache_dir=None, poll_interval=0.05, eval_latency=0.0,
                batch=1, max_trials=None, stop=None, sleep=time.sleep,
-               client=None, sim_backend="auto", compile_cache_dir=None):
+               client=None):
     """Pull-evaluate-complete until every study on the service is done.
 
     ``evaluator`` defaults to a fresh :class:`Fig7Evaluator` backed by
@@ -254,18 +194,9 @@ def run_worker(base_url, worker_id="worker-0", evaluator=None,
     the service benchmark uses it to measure scheduling scalability
     independently of host core count.  ``stop`` (a ``threading.Event``)
     and ``max_trials`` bound the loop for tests.
-    ``compile_cache_dir`` points the process-wide code cache at a
-    directory shared by the whole fleet, so simulation-backed
-    evaluations bind tier-2/RTL code compiled by any other worker.
     """
-    if compile_cache_dir is not None:
-        from ..core.codecache import configure
-
-        configure(compile_cache_dir)
     if evaluator is None:
-        evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir),
-                                  sim_backend=sim_backend,
-                                  compile_cache=compile_cache_dir)
+        evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir))
     if client is None:
         client = ServiceClient(base_url, worker_id=worker_id, sleep=sleep)
     stats = WorkerStats()
@@ -318,12 +249,10 @@ class WorkerFleet:
     """
 
     def __init__(self, base_url, workers=1, cache_dir=None, evaluator=None,
-                 poll_interval=0.05, eval_latency=0.0, sim_backend="auto",
-                 compile_cache_dir=None):
+                 poll_interval=0.05, eval_latency=0.0):
         self.base_url = base_url
         self.evaluator = evaluator or Fig7Evaluator(
-            cache=EvaluationCache(cache_dir), sim_backend=sim_backend,
-            compile_cache=compile_cache_dir)
+            cache=EvaluationCache(cache_dir))
         self.stop_event = threading.Event()
         self.stats = [WorkerStats() for _ in range(workers)]
         self._threads = []
@@ -447,8 +376,7 @@ def wait_for_studies(client, names, poll_interval=0.05, timeout=600.0,
 def run_fig7_service(service_url=None, trials_per_family=60, seed=0,
                      workers=1, batch=None, cache_dir=None, store_dir=None,
                      owner=FIG7_OWNER, prefix="", lease_seconds=None,
-                     sim_backend="auto", timeout=600.0,
-                     compile_cache_dir=None):
+                     timeout=600.0):
     """Reproduce Fig. 7 through the study service.
 
     With ``service_url`` the studies are submitted to a running server
@@ -472,8 +400,7 @@ def run_fig7_service(service_url=None, trials_per_family=60, seed=0,
         names = create_fig7_studies(client, trials_per_family, seed=seed,
                                     batch=batch, owner=owner, prefix=prefix)
         fleet = WorkerFleet(service_url, workers=workers,
-                            cache_dir=cache_dir, sim_backend=sim_backend,
-                            compile_cache_dir=compile_cache_dir)
+                            cache_dir=cache_dir)
         started = time.monotonic()
         fleet.start()
         statuses = wait_for_studies(client, names, timeout=timeout)

@@ -55,6 +55,18 @@ class Emulator:
         self.machine = Machine(memory=self.bus, cfu=cfu, timing=timing)
         self.machine.compile_cache = _resolve_compile_cache(compile_cache)
 
+    def release(self):
+        """Free this emulator's RAM now; it must not run afterwards.
+
+        The machine sits in reference cycles that only the cyclic
+        collector breaks, so its RAM (a touched ``main_ram`` alone is
+        256 MiB) would otherwise outlive it by however long that
+        collector waits.  Translated blocks hold views of the RAM, so
+        they are dropped first.
+        """
+        self.machine.flush_decode_cache()
+        self.bus.release()
+
     # --- program loading -------------------------------------------------------
     def load_binary(self, blob, region="sram", offset=0):
         base = self.soc.memory_map.get(region).base + offset

@@ -26,24 +26,19 @@ all of that warm across laps:
   the least-recently-used one on overflow, bounding host memory while
   keeping the hottest machines resident.
 
-The HTTP layer mirrors :mod:`repro.dse.service`: a dependency-free
-asyncio HTTP/1.1 server with synchronous handlers, so every state
-transition is atomic with respect to the wire.
+This module holds the fleet and its route table; the HTTP server,
+``SessionServerThread``, ``serve`` and the client transport are the
+wire layer it shares with the DSE study service, :mod:`repro.core.wire`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import http.client
 import itertools
-import json
-import threading
 import time
 
 from ..core.metrics import MetricsRegistry
-# The wire plumbing is shared with the DSE study service — both servers
-# speak the same minimal JSON-over-HTTP/1.1 dialect.
-from ..dse.service import _json_bytes, _read_request
+from ..core.wire import HttpError, HttpServer, JsonClient, ResponseError, serve
+from ..core.wire import ServerThread as SessionServerThread
 from .renode import Emulator, _resolve_compile_cache
 
 SESSIONS_SCHEMA_VERSION = 1
@@ -56,12 +51,8 @@ STEP_SECONDS_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05,
                         0.1, 0.5, 1.0, 5.0)
 
 
-class SessionError(Exception):
+class SessionError(HttpError):
     """A request the session server refuses; carries the HTTP status."""
-
-    def __init__(self, message, status=400):
-        super().__init__(message)
-        self.status = status
 
 
 def _build_cfu(name, impl):
@@ -299,6 +290,9 @@ class SessionManager:
         self._created = {}            # session_id -> creation sequence
         self._export_gauges()
 
+    def http_server(self, host="127.0.0.1", port=0):
+        return SessionHttpServer(self, host, port)
+
     # --- lifecycle ----------------------------------------------------------------
     def create(self, spec):
         session_id = str(spec.get("session_id") or
@@ -369,73 +363,13 @@ class SessionManager:
 # --------------------------------------------------------------------------------
 
 
-class SessionHttpServer:
+class SessionHttpServer(HttpServer):
     """Serves a :class:`SessionManager` over HTTP/1.1."""
 
-    def __init__(self, manager, host="127.0.0.1", port=0):
-        self.manager = manager
-        self.host = host
-        self.port = port
-        self._server = None
-
-    async def start(self):
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def wait_closed(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    @property
-    def url(self):
-        return f"http://{self.host}:{self.port}"
-
-    async def _handle_connection(self, reader, writer):
-        try:
-            while True:
-                request = await _read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                await self._handle_request(method, target, body, writer)
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown: close the socket and finish quietly
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, method, target, body, writer):
-        path, _, _query = target.partition("?")
-        parts = [p for p in path.split("/") if p]
-        route, handler = self._route(method, parts)
-        self.manager.metrics.counter("session_http_requests",
-                                     route=route).inc()
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            writer.write(_json_bytes(400, {"error": "malformed JSON body"}))
-            await writer.drain()
-            return
-        try:
-            status, result = handler(parts, payload)
-        except SessionError as error:
-            status, result = error.status, {"error": str(error)}
-        except Exception as error:  # never kill the connection loop
-            status, result = 500, {"error": f"internal error: {error!r}"}
-        writer.write(_json_bytes(status, result))
-        await writer.drain()
+    counter = "session_http_requests"
 
     def _route(self, method, parts):
-        manager = self.manager
+        manager = self.app
         if method == "GET" and parts == ["healthz"]:
             return "healthz", lambda p, b: (200, {
                 "ok": True, "schema": SESSIONS_SCHEMA_VERSION})
@@ -475,122 +409,22 @@ class SessionHttpServer:
             404, {"error": f"no route {method} /{'/'.join(parts)}"})
 
 
-def serve(manager, host="127.0.0.1", port=8744):
-    """Blocking entry point (``repro sessions serve``)."""
-    async def _main():
-        server = await SessionHttpServer(manager, host, port).start()
-        await server._server.serve_forever()
-    asyncio.run(_main())
 
-
-class SessionServerThread:
-    """A served :class:`SessionManager` on a background thread (tests
-    and the benchmark harness)."""
-
-    def __init__(self, manager, host="127.0.0.1", port=0):
-        self.manager = manager
-        self._http = SessionHttpServer(manager, host, port)
-        self._loop = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("session server thread failed to start")
-
-    def _run(self):
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        loop.run_until_complete(self._http.start())
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self._http.wait_closed())
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True))
-            loop.close()
-
-    @property
-    def url(self):
-        return self._http.url
-
-    def stop(self):
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False
-
-
-class SessionClientError(RuntimeError):
+class SessionClientError(ResponseError):
     """A 4xx/5xx from the session server."""
 
-    def __init__(self, status, payload):
-        super().__init__(f"HTTP {status}: {payload.get('error', payload)}")
-        self.status = status
-        self.payload = payload
 
-
-class SessionClient:
-    """Minimal JSON-over-HTTP client for the session server."""
-
-    def __init__(self, base_url, timeout=30.0):
-        import urllib.parse
-
-        parsed = urllib.parse.urlsplit(base_url)
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
-        self.timeout = timeout
-        self._conn = None
-
-    def _connection(self):
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
+class SessionClient(JsonClient):
+    """JSON-over-HTTP client for the session server.  Requests are
+    single-shot: a resent ``run`` would execute twice."""
 
     def request(self, method, path, payload=None):
-        body = json.dumps(payload).encode() if payload is not None else b""
-        try:
-            conn = self._connection()
-            conn.request(method, path, body=body,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        except (OSError, http.client.HTTPException):
-            self.close()
-            raise
-        result = json.loads(data.decode("utf-8")) if data else {}
+        status, result = self.send(method, path, payload)
         if status >= 400:
             raise SessionClientError(status, result)
         return result
 
-    def close(self):
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-
     # --- API surface --------------------------------------------------------------
-    def healthz(self):
-        return self.request("GET", "/healthz")
-
-    def metrics(self):
-        return self.request("GET", "/metrics")
-
     def create(self, spec=None):
         return self.request("POST", "/sessions", spec or {})
 
@@ -627,10 +461,3 @@ class SessionClient:
     def profile(self, session_id, **payload):
         return self.request("POST", f"/sessions/{session_id}/profile",
                             payload)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False

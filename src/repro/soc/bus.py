@@ -103,6 +103,13 @@ class SocBus(CowPagesMixin):
     def backing(self, name):
         return self.backings[name]
 
+    def release(self):
+        """Drop every materialised region; the bus is not used again."""
+        self._page_cache.clear()
+        self._page_data.clear()
+        for backing in self.backings.values():
+            backing._data = None
+
     # --- copy-on-write hooks (CowPagesMixin) -----------------------------------------
     def _cow_all_pages(self):
         pages = set()

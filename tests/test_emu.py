@@ -1,5 +1,7 @@
 """Renode-style emulation tests: programs on the SoC, CFU co-sim, VCD."""
 
+import sys
+
 import pytest
 
 from repro.accel import KwsCfu, KwsCfu2Rtl, Mnv2Cfu
@@ -168,3 +170,28 @@ def test_vcd_identical_across_rtl_backends():
         KwsCfu2Rtl(), ops, backend="compiled")
     assert results_interp == results_compiled
     assert vcd_interp == vcd_compiled
+
+
+def test_release_frees_ram_held_by_translated_blocks():
+    emulator = Emulator(Soc(ARTY_A7_35T, ARTY_DEFAULT),
+                        sim_backend="translated")
+    emulator.machine.hot_threshold = 1
+    emulator.load_assembly("""
+        li t0, 0x40001000
+        li t1, 200
+    loop:
+        sw t1, 0(t0)
+        lw t2, 0(t0)
+        addi t1, t1, -1
+        bnez t1, loop
+        li a7, 93
+        ecall
+    """, region="main_ram")
+    emulator.run()
+    assert emulator.machine.block_promotions > 0
+    ram = emulator.bus.backings["main_ram"].data
+    emulator.release()
+    # nothing else (page caches, blocks' word views) still holds the RAM,
+    # so dropping the emulator frees it without waiting for the collector
+    assert sys.getrefcount(ram) == 2
+    assert not any(b.materialized for b in emulator.bus.backings.values())
