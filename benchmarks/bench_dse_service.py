@@ -168,8 +168,8 @@ _TRIAL_FIRMWARE = "\n".join(
 
 def _trial_setup(cache_dir):
     """One trial's simulation setup, as a DSE worker would pay it:
-    fresh emulator, shared firmware, every hot block promoted to
-    tier-2.  Module-level so the process pool can pickle it."""
+    fresh emulator, shared firmware, every block translated.
+    Module-level so the process pool can pickle it."""
     from repro.boards import ARTY_A7_35T
     from repro.core.codecache import CodeCache
     from repro.emu import Emulator
@@ -177,9 +177,7 @@ def _trial_setup(cache_dir):
 
     cache = CodeCache(cache_dir) if cache_dir else None
     started = time.perf_counter()
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="translated",
-                        compile_cache=cache)
-    emulator.machine.hot_threshold = 1
+    emulator = Emulator(Soc(ARTY_A7_35T), compile_cache=cache)
     emulator.load_assembly(_TRIAL_FIRMWARE, region="flash")
     emulator.run(1_000_000)
     elapsed = time.perf_counter() - started

@@ -3,7 +3,7 @@
 Two claims back the reworked profiler:
 
 1. **Overhead** — attaching the :class:`~repro.cpu.profiler.MachineProfiler`
-   to the decoded-instruction fast path costs a small constant factor
+   to the translated-block (``auto``) tier costs a small constant factor
    (headline: profiled fast path ≤ 3x the unprofiled fast path), while
    producing *bit-identical* per-symbol attribution to the reference
    ``step()`` collector.  Measured on the KWS dot-product firmware and
@@ -157,19 +157,19 @@ def timed_unprofiled(kind):
     def once():
         emu, _ = build(kind)
         start = time.perf_counter()
-        emu.run(max_instructions=200_000_000, fast=True)
+        emu.run(max_instructions=200_000_000, backend="auto")
         return time.perf_counter() - start, emu.machine
     return _best_of(2, once)
 
 
-def timed_profiled(kind, fast):
+def timed_profiled(kind, backend):
     def once():
         emu, symbols = build(kind)
         profiler = MachineProfiler(emu.machine, symbols)
         start = time.perf_counter()
-        profile = profiler.run(max_instructions=200_000_000, fast=fast)
+        profile = profiler.run(max_instructions=200_000_000, backend=backend)
         return time.perf_counter() - start, (emu.machine, profile)
-    return _best_of(2 if fast else 1, once)
+    return _best_of(2 if backend == "auto" else 1, once)
 
 
 def symbol_map(profile):
@@ -182,9 +182,9 @@ def measure_overhead():
     for kind in ("kws", "mnv2"):
         base_seconds, base_machine = timed_unprofiled(kind)
         fast_seconds, (fast_machine, fast_profile) = timed_profiled(
-            kind, fast=True)
+            kind, backend="auto")
         ref_seconds, (ref_machine, ref_profile) = timed_profiled(
-            kind, fast=False)
+            kind, backend="step")
         instructions = base_machine.instret
         assert instructions == fast_machine.instret == ref_machine.instret
         identical = (symbol_map(fast_profile) == symbol_map(ref_profile)

@@ -67,7 +67,7 @@ forever:
     j forever
 """
 
-SPEC = {"board": "arty_a7_35t", "sim_backend": "translated"}
+SPEC = {"board": "arty_a7_35t", "sim_backend": "auto"}
 
 #: First page of ARTY main RAM; the scaling run dirties pages upward.
 RAM_BASE = 0x4000_0000
@@ -80,7 +80,6 @@ def percentile(values, fraction):
 
 
 def run_trial(session):
-    session.emulator.machine.hot_threshold = 1
     session.load({"assembly": FIRMWARE, "region": "flash"})
     return session.run({"max_instructions": 1_000_000})
 
@@ -99,7 +98,6 @@ def measure_trial_setup(cache_dir):
 
     manager = SessionManager(compile_cache=cache_dir)
     session = manager.create(SPEC)
-    session.emulator.machine.hot_threshold = 1
     session.load({"assembly": FIRMWARE, "region": "flash"})
     anchor = session.snapshot()["snapshot_id"]
     # Prime once, unmeasured: the first run from the anchor promotes the
@@ -185,7 +183,7 @@ def measure_step_latency():
     manager = SessionManager(compile_cache=None)
     with SessionServerThread(manager) as handle:
         with SessionClient(handle.url) as client:
-            sid = client.create(dict(SPEC, sim_backend="fast"))["session_id"]
+            sid = client.create(SPEC)["session_id"]
             client.load(sid, assembly=STEP_FIRMWARE, region="flash")
             latencies = []
             for _ in range(STEPS):

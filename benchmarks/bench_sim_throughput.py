@@ -1,21 +1,17 @@
-"""Simulator throughput across the three execution tiers: the reference
-``step()`` interpreter, the decoded-op dispatch loop (``fast``), and the
-basic-block translation backend (``translated``).
+"""Simulator throughput on the two execution tiers: the reference
+``step()`` interpreter and the basic-block translation tier (``auto``,
+reported as ``translated``).
 
 Firmware integration workloads (the dot-product CFU firmware and a
 memcpy/UART firmware, both on the full SoC bus) plus a bare-machine ALU
-loop run through every backend of ``Machine.run``.  Results —
-instructions/sec, wall-clock, per-tier speedups, block promotion/compile
-overhead (reported separately from steady-state throughput), and an
-architectural-equality check per workload — land in ``BENCH_sim.json``
-at the repo root so every future PR appends to a machine-readable perf
-trajectory.
+loop run through both backends of ``Machine.run``.  Results — absolute
+instructions/sec per tier, wall-clock, the translated-over-reference
+speedup, block compile overhead (reported separately from steady-state
+throughput), and an architectural-equality check per workload — land in
+``BENCH_sim.json`` at the repo root.
 
 Knobs:
 - ``REPRO_SIM_BENCH_REPS``         outer repetitions (default 2000)
-- ``REPRO_SIM_SPEEDUP_MIN``        fast-vs-reference threshold (default 5.0)
-- ``REPRO_SIM_TRANSLATED_MIN``     translated-vs-fast threshold, every
-                                   firmware row (default 3.0)
 - ``REPRO_SIM_TRANSLATED_REF_MIN`` translated-vs-reference threshold,
                                    every firmware row (default 15.0)
 """
@@ -34,8 +30,6 @@ from repro.emu import Emulator
 from repro.soc import Soc
 
 REPS = int(os.environ.get("REPRO_SIM_BENCH_REPS", "2000"))
-SPEEDUP_MIN = float(os.environ.get("REPRO_SIM_SPEEDUP_MIN", "5.0"))
-TRANSLATED_MIN = float(os.environ.get("REPRO_SIM_TRANSLATED_MIN", "3.0"))
 TRANSLATED_REF_MIN = float(
     os.environ.get("REPRO_SIM_TRANSLATED_REF_MIN", "15.0"))
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_sim.json")
@@ -175,20 +169,15 @@ def measure():
         modes = ["functional", "timed"] if is_firmware else ["functional"]
         for mode in modes:
             ref_seconds, ref_machine = timed_run(build, mode, backend="step")
-            fast_seconds, fast_machine = timed_run(build, mode,
-                                                   backend="fast")
             trans_seconds, trans_machine = timed_run(build, mode,
-                                                     backend="translated")
-            instructions = fast_machine.instret
-            assert instructions == ref_machine.instret
+                                                     backend="auto")
+            instructions = ref_machine.instret
             assert instructions == trans_machine.instret
-            identical = (arch_state(fast_machine) == arch_state(ref_machine)
-                         == arch_state(trans_machine))
-            # Promotion/compile overhead is one-time work; steady-state
-            # throughput excludes it so the two numbers stay separable.
+            identical = arch_state(trans_machine) == arch_state(ref_machine)
+            # Compile overhead is one-time work; steady-state throughput
+            # excludes it so the two numbers stay separable.
             compile_seconds = trans_machine.block_compile_seconds
             steady_seconds = max(trans_seconds - compile_seconds, 1e-9)
-            translated_ips = instructions / steady_seconds
             results.append({
                 "workload": name,
                 "mode": mode,
@@ -199,28 +188,20 @@ def measure():
                     "instructions_per_second": round(
                         instructions / ref_seconds),
                 },
-                "fast": {
-                    "seconds": round(fast_seconds, 4),
-                    "instructions_per_second": round(
-                        instructions / fast_seconds),
-                    "decode_cache_entries":
-                        fast_machine.decode_cache_entries,
-                    "cache_invalidations": fast_machine.invalidation_count,
-                },
                 "translated": {
                     "seconds": round(trans_seconds, 4),
                     "compile_seconds": round(compile_seconds, 4),
                     "steady_seconds": round(steady_seconds, 4),
-                    "instructions_per_second": round(translated_ips),
+                    "instructions_per_second": round(
+                        instructions / steady_seconds),
+                    "decode_cache_entries":
+                        trans_machine.decode_cache_entries,
                     "block_cache_entries":
                         trans_machine.block_cache_entries,
                     "block_promotions": trans_machine.block_promotions,
                     "block_invalidations":
                         trans_machine.block_invalidation_count,
                 },
-                "speedup": round(ref_seconds / fast_seconds, 2),
-                "translated_speedup_vs_fast": round(
-                    fast_seconds / steady_seconds, 2),
                 "translated_speedup_vs_reference": round(
                     ref_seconds / steady_seconds, 2),
                 "identical_state": identical,
@@ -230,12 +211,9 @@ def measure():
 
 def test_sim_throughput(report):
     results = measure()
-    fast_rows = [r for r in results
-                 if r["firmware"] and r["mode"] == "functional"]
-    fast_headline = min(fast_rows, key=lambda r: r["speedup"])
     firmware_rows = [r for r in results if r["firmware"]]
     headline = min(firmware_rows,
-                   key=lambda r: r["translated_speedup_vs_fast"])
+                   key=lambda r: r["translated_speedup_vs_reference"])
     payload = {
         "benchmark": "sim_throughput",
         "generated_by": "benchmarks/bench_sim_throughput.py",
@@ -243,26 +221,18 @@ def test_sim_throughput(report):
         "workloads": results,
         "headline": {
             "description": ("min translated-tier steady-state speedup over "
-                            "the tier-1 fast path on firmware integration "
-                            "workloads (all modes); compile overhead "
-                            "reported separately per row"),
+                            "the reference step() interpreter on firmware "
+                            "integration workloads (all modes); compile "
+                            "overhead reported separately per row"),
             "workload": headline["workload"],
             "mode": headline["mode"],
-            "speedup": headline["translated_speedup_vs_fast"],
+            "instructions_per_second":
+                headline["translated"]["instructions_per_second"],
             "speedup_vs_reference":
                 headline["translated_speedup_vs_reference"],
-            "threshold": TRANSLATED_MIN,
-            "passed":
-                headline["translated_speedup_vs_fast"] >= TRANSLATED_MIN,
-        },
-        "fast_headline": {
-            "description": ("min fast-path speedup over the reference "
-                            "step() loop on firmware integration workloads "
-                            "(functional mode)"),
-            "workload": fast_headline["workload"],
-            "speedup": fast_headline["speedup"],
-            "threshold": SPEEDUP_MIN,
-            "passed": fast_headline["speedup"] >= SPEEDUP_MIN,
+            "threshold": TRANSLATED_REF_MIN,
+            "passed": (headline["translated_speedup_vs_reference"]
+                       >= TRANSLATED_REF_MIN),
         },
     }
     # Preserve any foreign top-level sections of BENCH_sim.json (the
@@ -270,32 +240,24 @@ def test_sim_throughput(report):
     merge_preserve(BENCH_PATH, payload)
 
     report(f"Simulator throughput (reps={REPS})")
-    report(f"{'workload':<18} {'mode':<11} {'ref ips':>10} {'fast ips':>10} "
-           f"{'xlat ips':>10} {'vs fast':>8} {'compile':>8}  state")
+    report(f"{'workload':<18} {'mode':<11} {'ref ips':>10} {'xlat ips':>10} "
+           f"{'vs ref':>8} {'compile':>8}  state")
     for r in results:
         report(f"{r['workload']:<18} {r['mode']:<11} "
                f"{r['reference']['instructions_per_second']:>10,} "
-               f"{r['fast']['instructions_per_second']:>10,} "
                f"{r['translated']['instructions_per_second']:>10,} "
-               f"{r['translated_speedup_vs_fast']:>7.2f}x "
+               f"{r['translated_speedup_vs_reference']:>7.2f}x "
                f"{r['translated']['compile_seconds']:>7.4f}s  "
                f"{'identical' if r['identical_state'] else 'MISMATCH'}")
-    report(f"headline: translated {headline['translated_speedup_vs_fast']:.2f}x"
-           f" over fast ({headline['workload']}/{headline['mode']}, "
-           f"threshold {TRANSLATED_MIN}x); "
+    report(f"headline: translated "
            f"{headline['translated_speedup_vs_reference']:.2f}x over the "
-           f"reference interpreter")
+           f"reference interpreter ({headline['workload']}/"
+           f"{headline['mode']}, threshold {TRANSLATED_REF_MIN}x)")
     report(f"[BENCH_sim.json written to {os.path.abspath(BENCH_PATH)}]")
 
     for r in results:
         assert r["identical_state"], f"{r['workload']}/{r['mode']} diverged"
-    assert fast_headline["speedup"] >= SPEEDUP_MIN, (
-        f"fast path only {fast_headline['speedup']}x on "
-        f"{fast_headline['workload']} (needs ≥{SPEEDUP_MIN}x)")
     for r in firmware_rows:
-        assert r["translated_speedup_vs_fast"] >= TRANSLATED_MIN, (
-            f"translated tier only {r['translated_speedup_vs_fast']}x over "
-            f"fast on {r['workload']}/{r['mode']} (needs ≥{TRANSLATED_MIN}x)")
         assert r["translated_speedup_vs_reference"] >= TRANSLATED_REF_MIN, (
             f"translated tier only {r['translated_speedup_vs_reference']}x "
             f"over the reference on {r['workload']}/{r['mode']} "

@@ -178,7 +178,7 @@ def run_firmware(soc_factory, cfu, source, region="sram",
     execution tier (see :data:`repro.cpu.machine.SIM_BACKENDS`).
     ``compile_cache`` (a :class:`~repro.core.codecache.CodeCache`, a
     directory path, or ``True`` for the process default) lets repeated
-    runs of the same firmware skip tier-2 code generation.
+    runs of the same firmware skip block code generation.
     """
     from ..emu import Emulator
 

@@ -329,11 +329,11 @@ def build_parser():
                               "(with --simulate)")
     profile.add_argument(
         "--sim-backend", choices=SIM_BACKENDS, default="auto",
-        help="ISA simulator execution tier: auto promotes hot basic "
-             "blocks to generated code (falling back to the fast "
-             "dispatch loop on unsupported constructs), translated/fast "
-             "pin a tier, step is the reference interpreter; all tiers "
-             "are cycle-identical (mirrors the RTL backend= convention)")
+        help="ISA simulator execution tier: auto translates every basic "
+             "block to generated code on first use (stepping system "
+             "instructions and budget tails), step is the reference "
+             "interpreter; both are cycle-identical (mirrors the RTL "
+             "backend= convention)")
     profile.set_defaults(func=_cmd_profile)
 
     golden = sub.add_parser("golden", help="run a project's golden test")
@@ -453,7 +453,7 @@ def build_parser():
                                 help="live sessions kept resident before "
                                      "LRU eviction")
     sessions_serve.add_argument("--compile-cache-dir", default=None,
-                                help="persistent tier-2/RTL compile cache "
+                                help="persistent block/RTL compile cache "
                                      "directory (default: the process-wide "
                                      "cache, REPRO_CODECACHE_DIR-aware)")
     sessions_serve.add_argument("--no-compile-cache", action="store_true",

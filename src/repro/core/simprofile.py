@@ -523,8 +523,8 @@ def simulate_profile(playground, budget=DEFAULT_BUDGET, min_share=0.02,
     instructions.  ``check=True`` raises :exc:`ProfileDriftError` when
     any class's simulated/analytic ratio leaves ``drift_band``.
     ``sim_backend`` selects the ISA execution tier (see
-    :data:`repro.cpu.machine.SIM_BACKENDS`); all tiers produce identical
-    cycle counts, so this only trades wall-clock for warm-up cost.
+    :data:`repro.cpu.machine.SIM_BACKENDS`); both tiers produce
+    identical cycle counts, so this only trades wall-clock.
     """
     if estimate is None:
         estimate = playground.profile()

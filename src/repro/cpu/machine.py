@@ -10,25 +10,26 @@ The machine halts on ``ebreak``; ``ecall`` invokes a pluggable handler
 (default: treat ``a7 == 93`` as exit-with-code-in-``a0``, anything else
 halts too).
 
-Two execution paths share the same architectural semantics:
+Two execution tiers share the same architectural semantics:
 
-- :meth:`Machine.step` — the reference interpreter: fetch, decode, and
-  execute one instruction.  Nothing is cached; this is the slow path
-  the differential suite (``tests/test_sim_differential.py``) holds the
-  fast path against.
-- :meth:`Machine.run` (default ``fast=True``) — the fast path: a
-  decoded-instruction cache keyed by physical address feeds a
-  pre-specialized dispatch loop that keeps the hot state (pc, cycle and
-  instruction counters, the register file) in locals.  ``isa.decode``
-  runs once per *static* instruction; each decoded instruction is bound
-  to a dispatch kind with its operand fields already extracted (and
-  pc-relative targets precomputed).  Stores invalidate the cache at
-  page granularity, so self-modifying code stays correct.
+- :meth:`Machine.step` — the reference interpreter (``backend="step"``):
+  fetch, decode, and execute one instruction.  Nothing is cached; the
+  differential suite (``tests/test_sim_differential.py``) holds the
+  other tier against it.
+- :meth:`Machine.run` with ``backend="auto"`` (the default) — every pc
+  the dispatch loop reaches has its basic block translated to generated
+  Python on first dispatch (:mod:`repro.cpu.translate`), and the loop
+  calls blocks with the hot state (pc, cycle counter, pending hazard)
+  in locals.  What blocks do not cover — system instructions and
+  budget tails — runs through :meth:`Machine.step`.  Translation
+  discovers blocks through a decoded-instruction cache keyed by
+  physical address: ``isa.decode`` runs once per *static* instruction,
+  bound to a dispatch kind with its operand fields already extracted.
+  Stores invalidate both caches at page granularity, so self-modifying
+  code stays correct.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 from . import isa
 from .isa import OPCODE_CUSTOM0
@@ -38,12 +39,21 @@ _PAGE_SIZE = 1 << _PAGE_BITS
 _MASK32 = 0xFFFFFFFF
 
 #: Simulator backend names accepted by :meth:`Machine.run` (and
-#: everything that forwards to it).  ``auto`` is the tiered mode:
-#: decoded-op dispatch with hot blocks promoted to the translation tier
-#: (falling back to tier 1 wherever translation is refused);
-#: ``translated`` is an alias for the same tiered mode, ``fast`` pins
-#: tier 1 only, ``step`` is the reference interpreter.
-SIM_BACKENDS = ("auto", "translated", "fast", "step")
+#: everything that forwards to it): ``auto`` runs translated blocks,
+#: ``step`` the reference interpreter.
+SIM_BACKENDS = ("auto", "step")
+
+
+def resolve_backend(backend, default="auto"):
+    """The one ISA backend selector: ``backend``, or ``default`` when
+    it is None, checked against :data:`SIM_BACKENDS`."""
+    if backend is None:
+        backend = default
+    if backend not in SIM_BACKENDS:
+        raise ValueError(
+            f"unknown sim backend {backend!r}"
+            f" (expected one of {', '.join(SIM_BACKENDS)})")
+    return backend
 
 
 def _sext32(value):
@@ -75,8 +85,8 @@ class MemorySnapshot:
 class CowPagesMixin:
     """The copy-on-write bookkeeping shared by :class:`SparseMemory`
     and the SoC bus: live snapshots, the protected-page set, and the
-    registered page caches (tier-2 blocks bake page lookups — they must
-    be evicted whenever a page's writability or identity changes).
+    registered page caches (translated blocks bake page lookups — they
+    must be evicted whenever a page's writability or identity changes).
 
     The protected set's *identity* is load-bearing: generated code and
     resolver closures capture it directly, so it is only ever mutated
@@ -249,15 +259,16 @@ class SparseMemory(CowPagesMixin):
 # --- decoded-instruction dispatch kinds -------------------------------------------
 #
 # Each cached entry is a 7-tuple ``(kind, a, b, c, d, ins, reads)``:
-# ``kind`` selects the handler in the fast loop, ``a``..``d`` carry the
+# ``kind`` selects the code generator's emitter, ``a``..``d`` carry the
 # pre-extracted operand fields (meaning depends on the kind), ``ins`` is
 # the full decoded :class:`~repro.cpu.isa.Instruction`, and ``reads`` is
 # the register-read tuple the timing model's hazard interlock checks.
-# Kind numbering is grouped so the fast loop can dispatch on ranges:
+# Kind numbering is grouped so consumers can dispatch on ranges:
 #   0..12   simple ALU (no extra timing cost)
 #   14..19  shifts          20..23 multiplies        24..27 divides
 #   32..36  loads           40..42 stores            64..69 branches
-#   80..81  jumps           96..   CFU/system/fence/raise
+#   80..81  jumps           96..98 CFU, system (ebreak/ecall/csr/fence),
+#                                  illegal
 
 _K_ADDI, _K_SLTI, _K_SLTIU, _K_XORI, _K_ORI, _K_ANDI = range(6)
 _K_ADD, _K_SUB, _K_SLT, _K_SLTU, _K_XOR, _K_OR, _K_AND = range(6, 13)
@@ -269,7 +280,7 @@ _K_LB, _K_LH, _K_LW, _K_LBU, _K_LHU = range(32, 37)
 _K_SB, _K_SH, _K_SW = range(40, 43)
 _K_BEQ, _K_BNE, _K_BLT, _K_BGE, _K_BLTU, _K_BGEU = range(64, 70)
 _K_JAL, _K_JALR = 80, 81
-_K_CFU, _K_EBREAK, _K_ECALL, _K_CSR, _K_FENCE, _K_RAISE = range(96, 102)
+_K_CFU, _K_SYSTEM, _K_RAISE = range(96, 99)
 
 _ALU_IMM_KINDS = {0: _K_ADDI, 2: _K_SLTI, 3: _K_SLTIU, 4: _K_XORI,
                   6: _K_ORI, 7: _K_ANDI}
@@ -321,7 +332,7 @@ def _hazard_reads(ins):
 
 
 def _muldiv_kind(kind, rs1, rs2):
-    """M-extension arithmetic for the fast loop (timing cost is the
+    """M-extension arithmetic for generated blocks (timing cost is the
     caller's job)."""
     s1 = rs1 - (1 << 32) if rs1 & 0x80000000 else rs1
     s2 = rs2 - (1 << 32) if rs2 & 0x80000000 else rs2
@@ -348,6 +359,7 @@ def _specialize(pc, ins):
     op = ins.opcode
     reads = _hazard_reads(ins)
     f3 = ins.funct3
+    illegal = (_K_RAISE, 0, 0, 0, 0, ins, reads)
 
     if op == isa.OPCODE_OP_IMM:
         if f3 == 1:
@@ -382,37 +394,26 @@ def _specialize(pc, ins):
     if op == isa.OPCODE_BRANCH:
         kind = _BRANCH_KINDS.get(f3)
         if kind is None:
-            return (_K_RAISE, 0, 0, "bad branch funct3", 0, ins, reads)
+            return illegal
         return (kind, ins.rs1, ins.rs2, (pc + ins.imm) & _MASK32,
                 ins.imm < 0, ins, reads)
     if op == isa.OPCODE_LOAD:
         kind = _LOAD_KINDS.get(f3)
         if kind is None:
-            return (_K_RAISE, 0, 0, "bad load funct3", 0, ins, reads)
+            return illegal
         return (kind, ins.rd, ins.rs1, ins.imm, 0, ins, reads)
     if op == isa.OPCODE_STORE:
         kind = _STORE_KINDS.get(f3)
         if kind is None:
-            return (_K_RAISE, 0, 0, "bad store funct3", 0, ins, reads)
+            return illegal
         return (kind, ins.rs1, ins.rs2, ins.imm, 0, ins, reads)
     if op == OPCODE_CUSTOM0:
         return (_K_CFU, ins.rd, ins.rs1, ins.rs2,
                 (ins.funct3, ins.funct7), ins, reads)
-    if op == isa.OPCODE_SYSTEM:
-        if ins.raw == 0x00100073:
-            return (_K_EBREAK, 0, 0, 0, 0, ins, reads)
-        if ins.raw == 0x00000073:
-            return (_K_ECALL, 0, 0, 0, 0, ins, reads)
-        if ins.funct3 in (1, 2, 3):
-            return (_K_CSR, ins.rd, 0, ins.imm & 0xFFF, 0, ins, reads)
-        return (_K_RAISE, 0, 0,
-                f"unsupported SYSTEM instruction 0x{ins.raw:08x}",
-                0, ins, reads)
-    if op == isa.OPCODE_MISC_MEM:
-        return (_K_FENCE, 0, 0, 0, 0, ins, reads)
-    return (_K_RAISE, 0, 0,
-            f"illegal instruction 0x{ins.raw:08x} at pc=0x{pc:08x}",
-            0, ins, reads)
+    if op == isa.OPCODE_MISC_MEM or op == isa.OPCODE_SYSTEM and (
+            ins.raw in (0x00100073, 0x00000073) or f3 in (1, 2, 3)):
+        return (_K_SYSTEM, 0, 0, 0, 0, ins, reads)  # ebreak/ecall/csr/fence
+    return illegal
 
 
 def _timing_state(timing):
@@ -476,18 +477,16 @@ class Machine:
         self._decode_pages = {}
         self.decode_count = 0          # static decodes performed
         self.invalidation_count = 0    # pages invalidated by stores/flushes
-        # Tier-2 block cache (repro.cpu.translate): pc -> BlockEntry,
+        # Block cache (repro.cpu.translate): pc -> BlockEntry,
         # plus the page -> [entry pc] map mirroring the decode cache's
         # invalidation contract.  NOTE: generated blocks bake direct
         # references to _decode_pages/_block_pages — mutate those dicts
         # in place, never rebind them.
         self._blocks = {}
         self._block_pages = {}
-        self._block_hot = {}           # pc -> dispatch count until promotion
         self._block_fault = [0, 0, -1]  # (pc, cycles, instrs) at in-block fault
         self._block_timing = None      # timing model the blocks were baked for
         self._block_traffic = False    # bus traffic accounting at bake time
-        self.hot_threshold = 16        # block-entry dispatches before promotion
         self.block_promotions = 0      # successful block translations
         self.block_invalidation_count = 0
         self.block_compile_seconds = 0.0
@@ -530,20 +529,18 @@ class Machine:
             cache.pop(pc, None)
         self.invalidation_count += 1
 
-    # --- block (tier-2) cache -------------------------------------------------------
+    # --- block cache ----------------------------------------------------------------
     @property
     def block_cache_entries(self):
         """Translated blocks currently cached (sentinels excluded)."""
-        return sum(1 for entry in self._blocks.values()
-                   if entry.fn is not None)
+        return sum(1 for entry in self._blocks.values() if entry.length)
 
     def flush_block_cache(self):
-        """Drop every translated block (and the promotion counters)."""
+        """Drop every translated block."""
         if self._block_pages:
             self.block_invalidation_count += len(self._block_pages)
         self._blocks.clear()
         self._block_pages.clear()
-        self._block_hot.clear()
         self._data_page_cache.clear()
         self._page_resolver = None  # timing/traffic may have changed
 
@@ -654,17 +651,16 @@ class Machine:
         longer be restored)."""
         self.memory.discard_snapshot(snap["memory"])
 
-    def _promote(self, pc):
-        """Translate the block at ``pc`` and install it (or a sentinel
-        on refusal, so tier 1 keeps handling this pc)."""
+    def _promote(self, pc, profiled=False):
+        """Translate the block at ``pc``, compiling the variant the
+        current run needs, and install it (or a sentinel on refusal, so
+        :meth:`_run_fast` steps this pc)."""
         from .translate import translate_block
 
-        started = perf_counter()
-        entry = translate_block(self, pc)
-        self.block_compile_seconds += perf_counter() - started
+        entry = translate_block(self, pc, profiled)
         self._blocks[pc] = entry
         self._block_pages.setdefault(pc >> _PAGE_BITS, []).append(pc)
-        if entry.fn is not None:
+        if entry.length:
             self.block_promotions += 1
         return entry
 
@@ -693,8 +689,8 @@ class Machine:
         registry.counter("sim_decode_invalidations",
                          **labels).add(self.invalidation_count)
         # Cache-size gauges are labelled by the backend tier that last
-        # ran, so a decode-cache count from a pure tier-1 run is never
-        # conflated with one from a tiered (translated) run.
+        # ran, so cache sizes from a step run are never conflated with
+        # ones from a translated (auto) run.
         tier = self.last_run_backend or "none"
         registry.gauge("sim_decode_cache_entries", tier=tier,
                        **labels).set(self.decode_cache_entries)
@@ -742,32 +738,22 @@ class Machine:
         return self.regs[index]
 
     # --- execution ------------------------------------------------------------------
-    def run(self, max_instructions=1_000_000, fast=True, backend=None):
+    def run(self, max_instructions=1_000_000, backend="auto"):
         """Execute until halt or the instruction budget is exhausted.
 
         ``backend`` picks the execution tier (see :data:`SIM_BACKENDS`):
-        ``"auto"``/``"translated"`` run the tiered loop (decoded-op
-        dispatch promoting hot basic blocks to generated code),
-        ``"fast"`` pins the tier-1 dispatch loop, ``"step"`` the
-        reference interpreter.  When ``backend`` is None it resolves
-        from the legacy ``fast`` flag: ``fast=True`` -> ``"auto"``,
-        ``fast=False`` -> ``"step"``.  All backends are architecturally
-        identical (the differential suite asserts it).  The budget
-        counts executed instructions: a program that halts *on* its
+        ``"auto"`` runs translated blocks (:meth:`_run_fast`), ``"step"``
+        the reference interpreter.  Both are architecturally identical
+        (the differential suite asserts it).  The budget counts executed
+        instructions: a program that halts *on* its
         ``max_instructions``-th instruction completes normally; the
         budget error is raised only when the machine is still running
         after the budget is spent.
         """
-        if backend is None:
-            backend = "auto" if fast else "step"
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown sim backend {backend!r}"
-                f" (expected one of {', '.join(SIM_BACKENDS)})")
+        backend = resolve_backend(backend)
         self.last_run_backend = backend
-        if backend != "step":
-            self._run_fast(max_instructions,
-                           translate=backend != "fast")
+        if backend == "auto":
+            self._run_fast(max_instructions)
         else:
             executed = 0
             while executed < max_instructions and not self.halted:
@@ -777,45 +763,46 @@ class Machine:
             raise RuntimeError(f"instruction budget exhausted at pc=0x{self.pc:08x}")
         return self.exit_code
 
-    def _run_fast(self, max_instructions, profile=None, translate=False):
-        """The fast path: cached decode + pre-specialized dispatch with
+    def _run_fast(self, max_instructions, profile=None):
+        """The ``auto`` tier: dispatch translated basic blocks with the
         hot state in locals.  Bit-identical to the ``step()`` loop,
         timing model and CFU included.
 
-        ``translate=True`` adds the tier-2 block layer: block-entry pcs
-        (targets of control transfers) are counted, promoted to
-        generated code (:mod:`repro.cpu.translate`) once hot, and
-        dispatched whole; everything else stays on the tier-1 loop.
+        Every pc the loop reaches has its block translated on first
+        dispatch (:mod:`repro.cpu.translate`).  :meth:`step` runs what
+        blocks do not cover: a pc whose translation is refused
+        (ebreak/ecall/csr/fence/illegal, or a MUL with no multiplier)
+        and the instructions of a block longer than the remaining
+        budget, so truncation is instruction-exact.
 
         ``profile`` (a :class:`~repro.cpu.profiler.MachineProfiler`, or
-        anything exposing ``pc_buckets``/``bucket_for_pc``) enables
-        in-loop cycle attribution: every cycle spent between two
-        dispatches — fetch stalls, hazard interlocks, and execution cost
-        alike — is charged to the pc that was dispatched, exactly as the
-        reference ``step()``-based profiler attributes it.  A faulting
-        instruction's partial cycles stay unattributed on both paths.
-        The cost when profiling is one dict lookup per instruction; when
-        not profiling, a single local-bool branch."""
+        anything exposing ``pc_buckets``/``bucket_for_pc``) charges
+        every cycle to the pc that spent it, exactly as the reference
+        ``step()``-based profiler does: blocks run their instrumented
+        variant, and stepped instructions are charged their cycle delta.
+        A faulting instruction's partial cycles stay unattributed on
+        both paths."""
         memory = self.memory
-        regs = self.regs
         timing = self.timing
-        timed = timing is not None
+        # Blocks bake the timing model's identity and the bus
+        # traffic-accounting mode; if either moved under us, the cache
+        # is for a different machine configuration.
+        traffic_now = getattr(memory, "_traffic", None) is not None
+        if self._block_timing is not timing or \
+                self._block_traffic != traffic_now:
+            self.flush_block_cache()
+            self._block_timing = timing
+            self._block_traffic = traffic_now
+        regs = self.regs
         cfu = self.cfu
-        cache = self._decode_cache
-        cache_get = cache.get
-        cache_pages = self._decode_pages
-        block_pages = self._block_pages
-        decode_pc = self._decode_pc
-        read8 = memory.read8
-        read16 = memory.read16
-        read32 = memory.read32
-        write8 = memory.write8
-        write16 = memory.write16
-        write32 = memory.write32
-        # Mirrors _check_align: alignment faults unless a timing model
-        # says the hardware error checking was removed.
-        check_align = not timed or timing.checks_alignment()
-        M = _MASK32
+        step = self.step
+        blocks_get = self._blocks.get
+        promote = self._promote
+        fault_box = self._block_fault
+        profiling = profile is not None
+        if profiling:
+            buckets_get = profile.pc_buckets.get
+            new_bucket = profile.bucket_for_pc
         pc = self.pc
         instret = self.instret
         cycles = self.cycles
@@ -823,413 +810,82 @@ class Machine:
         pending_is_load = self._pending_is_load
         halted = self.halted
         executed = 0
-        profiling = profile is not None
-        if profiling:
-            buckets_get = profile.pc_buckets.get
-            new_bucket = profile.bucket_for_pc
-        last_pc = 0
-        last_cycles = cycles
-        pending = False
-        if translate:
-            # Blocks bake the timing model's identity and the bus
-            # traffic-accounting mode; if either moved under us, the
-            # cache is for a different machine configuration.
-            traffic_now = getattr(memory, "_traffic", None) is not None
-            if self._block_timing is not timing or \
-                    self._block_traffic != traffic_now:
-                self.flush_block_cache()
-                self._block_timing = timing
-                self._block_traffic = traffic_now
-            blocks_get = self._blocks.get
-            hot = self._block_hot
-            hot_get = hot.get
-            threshold = self.hot_threshold
-            fault_box = self._block_fault
-            # Pretend we arrived by jump so the entry pc counts as a
-            # block leader.
-            prev_k = _K_JAL
+        stepping = False
         try:
             while executed < max_instructions and not halted:
-                if translate:
-                    entry = blocks_get(pc)
-                    if entry is not None:
-                        fn = entry.fn
-                        if fn is not None and \
-                                executed + entry.length <= max_instructions:
-                            if profiling:
-                                if pending:
-                                    bucket = buckets_get(last_pc)
-                                    if bucket is None:
-                                        bucket = new_bucket(last_pc)
-                                    bucket[0] += cycles - last_cycles
-                                    bucket[1] += 1
-                                    pending = False
-                                fn = entry.fn_prof
-                                if fn is None:
-                                    fn = entry.ensure_profiled(self)
-                                fault_box[2] = -1
-                                pc, cycles, n, pending_rd, pending_is_load = \
-                                    fn(regs, cycles, pending_rd,
-                                       pending_is_load, cfu,
-                                       max_instructions - executed,
-                                       buckets_get, new_bucket)
-                            else:
-                                fault_box[2] = -1
-                                pc, cycles, n, pending_rd, pending_is_load = \
-                                    fn(regs, cycles, pending_rd,
-                                       pending_is_load, cfu,
-                                       max_instructions - executed)
-                            instret += n
-                            executed += n
-                            prev_k = _K_JAL
-                            continue
-                    # Count block leaders only: pcs reached through a
-                    # control transfer (or a block exit).  Sequential
-                    # pcs inside a would-be block never promote on
-                    # their own.
-                    elif 64 <= prev_k < 96 or prev_k == _K_ECALL:
-                        count = hot_get(pc, 0) + 1
-                        if count >= threshold:
-                            hot.pop(pc, None)
-                            self._promote(pc)
-                            continue
-                        hot[pc] = count
-                op = cache_get(pc)
-                if op is None:
-                    op = decode_pc(pc)
-                if translate:
-                    prev_k = op[0]
-                if profiling:
-                    if pending:
-                        bucket = buckets_get(last_pc)
+                entry = blocks_get(pc)
+                if entry is None:
+                    entry = promote(pc, profiling)
+                length = entry.length
+                if length and executed + length <= max_instructions:
+                    fault_box[2] = -1
+                    if profiling:
+                        fn = entry.fn_prof or entry.compile(self, True)
+                        pc, cycles, n, pending_rd, pending_is_load = \
+                            fn(regs, cycles, pending_rd, pending_is_load,
+                               cfu, max_instructions - executed,
+                               buckets_get, new_bucket)
+                    else:
+                        fn = entry.fn or entry.compile(self, False)
+                        pc, cycles, n, pending_rd, pending_is_load = \
+                            fn(regs, cycles, pending_rd, pending_is_load,
+                               cfu, max_instructions - executed)
+                    instret += n
+                    executed += n
+                    continue
+                # step() the refused pc, or every instruction left in
+                # the budget when the block is longer than that: a tail
+                # shorter than the block never leaves its straight line.
+                count = max_instructions - executed if length else 1
+                self.pc = pc
+                self.instret = instret
+                self.cycles = cycles
+                self._pending_rd = pending_rd
+                self._pending_is_load = pending_is_load
+                stepping = True
+                while count and not self.halted:
+                    if profiling:
+                        before_pc = self.pc
+                        before = self.cycles
+                        step()
+                        bucket = buckets_get(before_pc)
                         if bucket is None:
-                            bucket = new_bucket(last_pc)
-                        bucket[0] += cycles - last_cycles
+                            bucket = new_bucket(before_pc)
+                        bucket[0] += self.cycles - before
                         bucket[1] += 1
-                    last_pc = pc
-                    last_cycles = cycles
-                    pending = True
-                k = op[0]
-                if timed:
-                    cycles += timing.fetch(pc)
-                    if pending_rd and pending_rd in op[6]:
-                        cycles += timing.hazard_cycles(pending_is_load)
-                if k < 14:  # simple ALU + precomputed constants
-                    if k == _K_ADDI:
-                        v = regs[op[2]] + op[3]
-                    elif k == _K_ADD:
-                        v = regs[op[2]] + regs[op[3]]
-                    elif k == _K_ANDI:
-                        v = regs[op[2]] & op[3]
-                    elif k == _K_AND:
-                        v = regs[op[2]] & regs[op[3]]
-                    elif k == _K_ORI:
-                        v = regs[op[2]] | op[3]
-                    elif k == _K_OR:
-                        v = regs[op[2]] | regs[op[3]]
-                    elif k == _K_XORI:
-                        v = regs[op[2]] ^ op[3]
-                    elif k == _K_XOR:
-                        v = regs[op[2]] ^ regs[op[3]]
-                    elif k == _K_SUB:
-                        v = regs[op[2]] - regs[op[3]]
-                    elif k == _K_CONST:
-                        v = op[3]
-                    elif k == _K_SLTIU:
-                        v = 1 if regs[op[2]] < op[3] else 0
-                    elif k == _K_SLTU:
-                        v = 1 if regs[op[2]] < regs[op[3]] else 0
-                    elif k == _K_SLTI:
-                        r = regs[op[2]]
-                        v = 1 if (r - (1 << 32) if r & 0x80000000 else r) < op[3] else 0
-                    else:  # _K_SLT
-                        r = regs[op[2]]
-                        s = regs[op[3]]
-                        v = 1 if ((r - (1 << 32) if r & 0x80000000 else r)
-                                  < (s - (1 << 32) if s & 0x80000000 else s)) else 0
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = v & M
-                    if timed:
-                        pending_rd = 0 if k == _K_CONST else rd
-                        pending_is_load = False
-                    cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k < 37:  # shifts, mul/div, loads
-                    rd = op[1]
-                    if k < 20:  # shifts
-                        if k < 17:
-                            shamt = op[3]
-                        else:
-                            shamt = regs[op[3]] & 0x1F
-                        r = regs[op[2]]
-                        if k == _K_SLLI or k == _K_SLL:
-                            v = r << shamt
-                        elif k == _K_SRLI or k == _K_SRL:
-                            v = r >> shamt
-                        else:  # srai/sra
-                            v = (r - (1 << 32) if r & 0x80000000 else r) >> shamt
-                        if rd:
-                            regs[rd] = v & M
-                        if timed:
-                            cycles += timing.shift_cycles(shamt)
-                            pending_rd = rd
-                            pending_is_load = False
-                        else:
-                            cycles += 1
-                    elif k < 32:  # mul/div
-                        v = _muldiv_kind(k, regs[op[2]], regs[op[3]])
-                        if rd:
-                            regs[rd] = v & M
-                        if timed:
-                            cycles += (timing.mul_cycles() if k < 24
-                                       else timing.div_cycles())
-                            pending_rd = rd
-                            pending_is_load = False
-                        else:
-                            cycles += 1
-                    else:  # loads
-                        addr = (regs[op[2]] + op[3]) & M
-                        if k == _K_LW:
-                            if check_align and addr & 3:
-                                raise MemoryAccessError(
-                                    f"misaligned 4-byte access at 0x{addr:08x}"
-                                    f" (pc=0x{pc:08x})")
-                            v = read32(addr)
-                        elif k == _K_LBU:
-                            v = read8(addr)
-                        elif k == _K_LB:
-                            v = read8(addr)
-                            if v & 0x80:
-                                v -= 256
-                        elif k == _K_LHU:
-                            if check_align and addr & 1:
-                                raise MemoryAccessError(
-                                    f"misaligned 2-byte access at 0x{addr:08x}"
-                                    f" (pc=0x{pc:08x})")
-                            v = read16(addr)
-                        else:  # _K_LH
-                            if check_align and addr & 1:
-                                raise MemoryAccessError(
-                                    f"misaligned 2-byte access at 0x{addr:08x}"
-                                    f" (pc=0x{pc:08x})")
-                            v = read16(addr)
-                            if v & 0x8000:
-                                v -= 65536
-                        if rd:
-                            regs[rd] = v & M
-                        if timed:
-                            cycles += timing.load_cycles(addr)
-                            pending_rd = rd
-                            pending_is_load = True
-                        else:
-                            cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k < 64:  # stores
-                    addr = (regs[op[1]] + op[3]) & M
-                    v = regs[op[2]]
-                    if k == _K_SW:
-                        if check_align and addr & 3:
-                            raise MemoryAccessError(
-                                f"misaligned 4-byte access at 0x{addr:08x}"
-                                f" (pc=0x{pc:08x})")
-                        write32(addr, v)
-                        span = 3
-                    elif k == _K_SB:
-                        write8(addr, v)
-                        span = 0
-                    else:  # _K_SH
-                        if check_align and addr & 1:
-                            raise MemoryAccessError(
-                                f"misaligned 2-byte access at 0x{addr:08x}"
-                                f" (pc=0x{pc:08x})")
-                        write16(addr, v)
-                        span = 1
-                    page = addr >> _PAGE_BITS
-                    if page in cache_pages:
-                        self._invalidate_page(page)
-                    if page in block_pages:
-                        self._invalidate_block_page(page)
-                    last = (addr + span) >> _PAGE_BITS
-                    if last != page:
-                        if last in cache_pages:
-                            self._invalidate_page(last)
-                        if last in block_pages:
-                            self._invalidate_block_page(last)
-                    if timed:
-                        cycles += timing.store_cycles(addr)
-                        pending_rd = 0
-                        pending_is_load = False
                     else:
-                        cycles += 1
-                    pc += 4
-                    instret += 1
+                        step()
+                    count -= 1
                     executed += 1
-                    continue
-                if k < 80:  # branches
-                    a = regs[op[1]]
-                    b = regs[op[2]]
-                    if k == _K_BNE:
-                        taken = a != b
-                    elif k == _K_BEQ:
-                        taken = a == b
-                    elif k == _K_BLTU:
-                        taken = a < b
-                    elif k == _K_BGEU:
-                        taken = a >= b
-                    else:
-                        sa = a - (1 << 32) if a & 0x80000000 else a
-                        sb = b - (1 << 32) if b & 0x80000000 else b
-                        taken = sa < sb if k == _K_BLT else sa >= sb
-                    if timed:
-                        cycles += 1 + timing.branch_penalty(pc, taken, op[4])
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc = op[3] if taken else pc + 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_JAL:
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = op[2]
-                    if timed:
-                        cycles += 1 + timing.jump_penalty(direct=True)
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc = op[3]
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_JALR:
-                    target = (regs[op[2]] + op[3]) & ~1 & M
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = op[4]
-                    if timed:
-                        cycles += 1 + timing.jump_penalty(direct=False)
-                        pending_rd = 0
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc = target
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_CFU:
-                    if cfu is None:
-                        raise RuntimeError(
-                            f"CFU instruction at pc=0x{pc:08x} but no CFU attached"
-                        )
-                    f3, f7 = op[4]
-                    result, latency = cfu.execute(f3, f7, regs[op[2]], regs[op[3]])
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = result & M
-                    if timed:
-                        cycles += 1 + max(0, latency - 1)
-                        pending_rd = rd
-                        pending_is_load = False
-                    else:
-                        cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_EBREAK:
-                    self.halted = True
-                    halted = True
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_ECALL:
-                    # The handler may inspect machine state: sync first.
-                    self.pc = pc
-                    self.instret = instret
-                    self.cycles = cycles
-                    self._pending_rd = pending_rd
-                    self._pending_is_load = pending_is_load
-                    pc = self.ecall_handler(pc + 4)
-                    halted = self.halted
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_CSR:
-                    csr = op[3]
-                    if csr == 0xB00 or csr == 0xC00:
-                        v = cycles
-                    elif csr == 0xC02 or csr == 0xB02:
-                        v = instret
-                    else:
-                        v = 0
-                    rd = op[1]
-                    if rd:
-                        regs[rd] = v & M
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                if k == _K_FENCE:
-                    if timed:
-                        pending_rd = 0
-                        pending_is_load = False
-                    cycles += 1
-                    pc += 4
-                    instret += 1
-                    executed += 1
-                    continue
-                raise RuntimeError(op[3])  # _K_RAISE
-            # Attribute the final instruction.  This sits inside the
-            # try (not the finally) on purpose: a faulting instruction
-            # never reaches here, matching the reference profiler where
-            # a raising step() is not attributed either.
-            if profiling and pending:
-                bucket = buckets_get(last_pc)
-                if bucket is None:
-                    bucket = new_bucket(last_pc)
-                bucket[0] += cycles - last_cycles
-                bucket[1] += 1
+                stepping = False
+                pc = self.pc
+                instret = self.instret
+                cycles = self.cycles
+                pending_rd = self._pending_rd
+                pending_is_load = self._pending_is_load
+                halted = self.halted
         except BaseException:
-            if translate and fault_box[2] >= 0:
-                # The fault happened inside a generated block, which
-                # left the committed-so-far state in the fault box.
-                pc = fault_box[0]
-                cycles = fault_box[1]
-                instret += fault_box[2]
-                fault_box[2] = -1
-            # step() clears the hazard bookkeeping before dispatch, so a
-            # faulting instruction leaves no pending writeback behind.
-            pending_rd = 0
-            pending_is_load = False
+            if not stepping:
+                if fault_box[2] >= 0:
+                    # The fault happened inside a generated block, which
+                    # left the committed-so-far state in the fault box.
+                    pc = fault_box[0]
+                    cycles = fault_box[1]
+                    instret += fault_box[2]
+                    fault_box[2] = -1
+                # step() clears the hazard bookkeeping before dispatch,
+                # so a faulting instruction leaves no pending writeback.
+                pending_rd = 0
+                pending_is_load = False
             raise
         finally:
-            self.pc = pc
-            self.instret = instret
-            self.cycles = cycles
-            self._pending_rd = pending_rd
-            self._pending_is_load = pending_is_load
+            # A raising step() already left its own state on the machine.
+            if not stepping:
+                self.pc = pc
+                self.instret = instret
+                self.cycles = cycles
+                self._pending_rd = pending_rd
+                self._pending_is_load = pending_is_load
         return executed
 
     def step(self):

@@ -8,16 +8,17 @@ mcycle counter.
 
 Two collection paths produce bit-identical attributions:
 
-- ``run(fast=True)`` (default) piggybacks on the decoded-instruction
-  fast path: :meth:`Machine._run_fast` charges each dispatch's cycles
-  into a per-pc bucket (one dict lookup per instruction), and symbol
-  resolution happens once per *static* pc via bisect when the profile
-  is finalized.  Profiling cost is a small constant factor over the
-  unprofiled fast path (``benchmarks/bench_profile_overhead.py`` holds
-  it under 3x).
-- ``run(fast=False)`` wraps the reference ``step()`` loop, attributing
-  the machine's cycle delta around every single step — the original,
-  slow, trivially-correct collector the fast path is verified against.
+- ``run(backend="auto")`` (default) runs the profiled variant of each
+  translated block, which charges every instruction's cycles into a
+  per-pc bucket; :meth:`Machine._run_fast` charges the instructions it
+  steps the same way.  Symbol resolution happens once per *static* pc
+  via bisect when the profile is finalized.  Profiling cost is a small
+  constant factor over the unprofiled run
+  (``benchmarks/bench_profile_overhead.py`` holds it under 3x).
+- ``run(backend="step")`` wraps the reference ``step()`` loop,
+  attributing the machine's cycle delta around every single step — the
+  slow, trivially-correct collector the ``auto`` path is verified
+  against.
 
 Exhausting the instruction budget no longer raises: the partial profile
 is returned with :attr:`Profile.truncated` set, so a too-short budget
@@ -30,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import isa
-from .machine import _specialize, classify_kind
+from .machine import _specialize, classify_kind, resolve_backend
 
 
 @dataclass
@@ -134,37 +135,28 @@ class MachineProfiler:
         return self._names[index] if index >= 0 else "<unknown>"
 
     def bucket_for_pc(self, pc):
-        """Slow-path bucket creation: called once per static pc by the
-        fast loop (via the decode-cache-style get-or-create pattern)."""
+        """Slow-path bucket creation: called once per static pc by
+        translated blocks and the dispatch loop (get-or-create)."""
         bucket = [0, 0]
         self.pc_buckets[pc] = bucket
         return bucket
 
-    def run(self, max_instructions=5_000_000, fast=True, backend=None):
+    def run(self, max_instructions=5_000_000, backend="auto"):
         """Run to halt (or budget) and return the :class:`Profile`.
 
         ``backend`` picks the execution tier exactly as in
-        :meth:`Machine.run <repro.cpu.machine.Machine.run>`; None
-        resolves from the legacy ``fast`` flag.  Attribution is
-        identical across tiers: translated blocks charge cycles to the
-        same pc buckets the dispatch loops would.
+        :meth:`Machine.run <repro.cpu.machine.Machine.run>`.
+        Attribution is identical across tiers: translated blocks charge
+        cycles to the same pc buckets the step loop does.
 
         A budget exhaustion returns the partial profile with
         ``truncated=True`` instead of discarding it.
         """
-        from .machine import SIM_BACKENDS
-
-        if backend is None:
-            backend = "auto" if fast else "step"
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown sim backend {backend!r}"
-                f" (expected one of {', '.join(SIM_BACKENDS)})")
+        backend = resolve_backend(backend)
         machine = self.machine
         machine.last_run_backend = backend
-        if backend != "step":
-            machine._run_fast(max_instructions, profile=self,
-                              translate=backend != "fast")
+        if backend == "auto":
+            machine._run_fast(max_instructions, profile=self)
         else:
             remaining = max_instructions
             buckets = self.pc_buckets
@@ -220,12 +212,12 @@ class MachineProfiler:
 
 
 def profile_assembly(source, timing=None, cfu=None, region_base=0,
-                     max_instructions=5_000_000, fast=True, backend=None):
+                     max_instructions=5_000_000, backend="auto"):
     """Assemble, run, and profile a program in one call."""
     from .machine import Machine
 
     machine = Machine(cfu=cfu, timing=timing)
     symbols = machine.load_assembly(source, addr=region_base)
     profiler = MachineProfiler(machine, symbols)
-    profile = profiler.run(max_instructions, fast=fast, backend=backend)
+    profile = profiler.run(max_instructions, backend=backend)
     return profile, machine

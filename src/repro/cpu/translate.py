@@ -1,11 +1,18 @@
-"""Tier-2 basic-block translation for the ISA simulator.
+"""Basic-block translation: the ``auto`` tier of the ISA simulator.
 
-The decoded-op dispatch loop (tier 1, :meth:`Machine._run_fast`) still
-pays one Python dispatch per executed instruction.  This module removes
-that cost for hot code: a basic block — the straight-line run of
-instructions from an entry pc to the next branch/jump/system
-instruction or code-page edge — is code-generated into one specialized
-Python function, ``exec``'d once, and cached per entry pc.
+A basic block — the straight-line run of instructions from an entry pc
+to the next branch/jump/system instruction or code-page edge — is
+code-generated into one specialized Python function, ``exec``'d once,
+and cached per entry pc.  :meth:`Machine._run_fast` translates every
+pc it reaches on first dispatch and calls the block from then on;
+everything a block refuses runs through the reference
+:meth:`Machine.step`.
+
+Each block has two variants, the plain one and one instrumented for
+profiler attribution.  A block is translated with the variant its
+first run needs; the other is compiled on its first use, so an
+unprofiled run never compiles instrumentation and a profiled run never
+compiles plain code.
 
 What the generated function bakes in as literals:
 
@@ -61,25 +68,26 @@ invocation (``MeteredCfu``) simply don't provide one.
 Deviations from the obvious design, on purpose:
 
 - CFU instructions do *not* terminate blocks.  The CFU call is emitted
-  in-block (with the same no-CFU error and latency accounting as tier
-  1); cutting blocks at CFU boundaries would halve block length on
-  exactly the accelerator-bound workloads this tier exists for.
+  in-block (with the same no-CFU error and latency accounting as
+  ``step()``); cutting blocks at CFU boundaries would halve block length
+  on exactly the accelerator-bound workloads this tier exists for.
 - Blocks whose terminator jumps back to their own entry pc loop
   *inside* the generated function under an instruction budget, so tight
   loops pay one call per many iterations, not per pass.
 
 Correctness contract (held by ``tests/test_sim_differential.py``):
 architectural state, cycle counts, fault state, and profiler
-attribution are bit-identical to tier 1, which is itself bit-identical
-to the reference ``step()`` loop.  Stores into a page invalidate that
-page's blocks exactly like the decode cache; a store from *inside* a
-block that invalidates any cached page finishes its own accounting and
-returns to the dispatch loop immediately.
+attribution are bit-identical to the reference ``step()`` loop.  Stores
+into a page invalidate that page's blocks exactly like the decode
+cache; a store from *inside* a block that invalidates any cached page
+finishes its own accounting and returns to the dispatch loop
+immediately.
 """
 
 from __future__ import annotations
 
 import sys
+from time import perf_counter
 
 from ..perf.cache import Cache
 from .machine import (
@@ -113,30 +121,32 @@ def _mv_cast(buf):
 
 
 class BlockEntry:
-    """One translated block: entry pc, instruction count, and the
-    generated function (plus a lazily-compiled profiled variant).  A
-    ``fn`` of ``None`` is a sentinel: translation was refused (or
-    failed) at this pc and the dispatch loop must stay on tier 1."""
+    """One translated block: entry pc, instruction count, and its plain
+    (``fn``) and profiled (``fn_prof``) variants, each compiled on first
+    use.  A ``length`` of 0 is a sentinel: translation was refused (or
+    failed) at this pc and the dispatch loop steps it."""
 
     __slots__ = ("pc", "length", "fn", "fn_prof", "source", "source_prof",
                  "_ops")
 
-    def __init__(self, pc, length, fn, source, ops=None):
+    def __init__(self, pc, ops=()):
         self.pc = pc
-        self.length = length
-        self.fn = fn
-        self.fn_prof = None
-        self.source = source
-        self.source_prof = None
+        self.length = len(ops)
+        self.fn = self.fn_prof = None
+        self.source = self.source_prof = None
         self._ops = ops
 
-    def ensure_profiled(self, machine):
-        """Compile (once) and return the attribution-instrumented
-        variant of this block."""
-        if self.fn_prof is None:
-            self.source_prof, self.fn_prof = _compile(
-                machine, self.pc, self._ops, profiled=True)
-        return self.fn_prof
+    def compile(self, machine, profiled):
+        """Compile, install and return the plain or profiled variant
+        (the dispatch loop calls this once, on the variant's first use)."""
+        started = perf_counter()
+        source, fn = _compile(machine, self.pc, self._ops, profiled)
+        machine.block_compile_seconds += perf_counter() - started
+        if profiled:
+            self.source_prof, self.fn_prof = source, fn
+        else:
+            self.source, self.fn = source, fn
+        return fn
 
 
 def _discover(machine, pc):
@@ -145,9 +155,9 @@ def _discover(machine, pc):
     The run ends at (and includes) the first branch/jump, and ends
     *before* any system-class instruction (ebreak/ecall/csr/fence/
     illegal: they need live machine state or halt), before a MUL when
-    the timing model has no multiplier (tier 1 raises mid-dispatch and
-    the block would mis-count cycles first), and at the code-page edge
-    so every block lives on exactly one invalidation page.
+    the timing model has no multiplier (``step()`` raises mid-dispatch
+    and the block would mis-count cycles first), and at the code-page
+    edge so every block lives on exactly one invalidation page.
     """
     timed = machine.timing is not None
     mul_ok = True
@@ -169,10 +179,10 @@ def _discover(machine, pc):
             except Exception:
                 break  # unreadable code memory: end the block here
         k = op[0]
-        if k >= _m._K_EBREAK:
-            break  # system/illegal: cut before, tier 1 handles it
+        if k >= _m._K_SYSTEM:
+            break  # system/illegal: cut before, step() handles it
         if timed and not mul_ok and _m._K_MUL <= k < _m._K_DIV:
-            break  # tier 1 raises "no multiplier" on dispatch
+            break  # step() raises "no multiplier" on dispatch
         ops.append((p, op))
         if _m._K_BEQ <= k <= _m._K_JALR:
             break  # control transfer terminates the block
@@ -180,26 +190,27 @@ def _discover(machine, pc):
     return ops
 
 
-def translate_block(machine, pc):
-    """Translate the block at ``pc`` into a :class:`BlockEntry`.
+def translate_block(machine, pc, profiled=False):
+    """Translate the block at ``pc`` into a :class:`BlockEntry`, with
+    only the ``profiled`` (or plain) variant compiled.
 
     Never raises: any discovery or compilation failure returns a
-    sentinel entry (``fn=None``) so ``auto`` falls back to tier 1 at
-    this pc.
+    sentinel entry (``length == 0``) so the dispatch loop steps this pc.
     """
     try:
         ops = _discover(machine, pc)
         if not ops:
-            return BlockEntry(pc, 0, None, None)
-        source, fn = _compile(machine, pc, ops, profiled=False)
-        return BlockEntry(pc, len(ops), fn, source, ops)
+            return BlockEntry(pc)
+        entry = BlockEntry(pc, ops)
+        entry.compile(machine, profiled)
+        return entry
     except Exception:
-        return BlockEntry(pc, 0, None, None)
+        return BlockEntry(pc)
 
 
 def _pending_after(op):
     """(pending_rd, pending_is_load) after ``op`` retires, exactly as
-    the tier-1 timed loop tracks it."""
+    ``step()`` tracks it under a timing model."""
     k = op[0]
     if k == _m._K_CONST:
         return 0, False
@@ -870,7 +881,7 @@ def _emit(machine, entry_pc, ops, profiled):
     def store_bail(ind, i, p):
         # A store just invalidated cached pages (possibly this block's):
         # finish the store's own accounting and hand back to the
-        # dispatch loop, exactly where tier 1 would re-dispatch.
+        # dispatch loop, exactly where step() would fetch next.
         if timed:
             need.add("_stc")
             L(ind, "cycles += _stc(_a)")

@@ -17,7 +17,7 @@ import time
 from ..cfu.interface import CfuModel, MeteredCfu
 from ..cfu.rtl import RtlCfu, RtlCfuAdapter
 from ..cpu.assembler import assemble
-from ..cpu.machine import Machine
+from ..cpu.machine import Machine, resolve_backend
 from ..cpu.timing import VexTiming
 from ..soc.soc import Soc
 
@@ -27,7 +27,7 @@ class Emulator:
 
     ``compile_cache`` accepts a :class:`~repro.core.codecache.CodeCache`
     (or a directory path, or ``True`` for the process-wide default): the
-    machine then binds tier-2 translated blocks from cached generated
+    machine then binds translated blocks from cached generated
     source instead of re-running the code generator — across processes
     when the cache is directory-backed.
     """
@@ -36,12 +36,12 @@ class Emulator:
                  rtl_backend="auto", sim_backend="auto", compile_cache=None):
         if not isinstance(soc, Soc):
             raise TypeError("Emulator requires a Soc")
+        #: default ISA execution tier for run()/profile(); see
+        #: :data:`repro.cpu.machine.SIM_BACKENDS`.
+        self.sim_backend = resolve_backend(sim_backend)
         self.soc = soc
         self.bus = soc.bus()
         self.rtl_backend = rtl_backend
-        #: default ISA execution tier for run()/profile(); see
-        #: :data:`repro.cpu.machine.SIM_BACKENDS`.
-        self.sim_backend = sim_backend
         if isinstance(cfu, RtlCfu):
             # cycle-accurate gateware simulation
             cfu = RtlCfuAdapter(cfu, backend=rtl_backend)
@@ -126,17 +126,11 @@ class Emulator:
         self.machine.discard_snapshot(snap["machine"])
 
     # --- execution ---------------------------------------------------------------
-    def _resolve_backend(self, fast, backend):
-        """None resolves to the emulator's default tier (``sim_backend``)
-        when ``fast``, the reference interpreter otherwise — so legacy
-        ``fast=False`` callers still get the step loop."""
-        if backend is not None:
-            return backend
-        return self.sim_backend if fast else "step"
-
-    def run(self, max_instructions=5_000_000, fast=True, backend=None):
+    def run(self, max_instructions=5_000_000, backend=None):
+        """Run the loaded program on ``backend`` (None: the emulator's
+        ``sim_backend``)."""
         machine = self.machine
-        backend = self._resolve_backend(fast, backend)
+        backend = resolve_backend(backend, self.sim_backend)
         if self.tracer is None:
             return machine.run(max_instructions, backend=backend)
         instret0 = machine.instret
@@ -163,8 +157,7 @@ class Emulator:
                     machine.block_promotions - promotions0)
                 self.tracer.count("sim_instructions", instructions)
 
-    def profile(self, symbols, max_instructions=5_000_000, fast=True,
-                backend=None):
+    def profile(self, symbols, max_instructions=5_000_000, backend=None):
         """Run the loaded program under the cycle profiler.
 
         ``symbols`` is the name->address table :meth:`load_assembly`
@@ -173,7 +166,7 @@ class Emulator:
         """
         from ..cpu.profiler import MachineProfiler
 
-        backend = self._resolve_backend(fast, backend)
+        backend = resolve_backend(backend, self.sim_backend)
         profiler = MachineProfiler(self.machine, symbols)
         if self.tracer is None:
             return profiler.run(max_instructions, backend=backend)

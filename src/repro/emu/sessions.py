@@ -2,8 +2,8 @@
 
 Interactive TinyML bring-up (Section II-E) is a loop — load firmware,
 run, inspect, tweak, run again — and the expensive parts of each lap
-are *setup*: building the SoC, decoding firmware, promoting hot blocks
-to tier-2 translated code, compiling the CFU's RTL.  This module keeps
+are *setup*: building the SoC, decoding firmware, translating basic
+blocks to generated code, compiling the CFU's RTL.  This module keeps
 all of that warm across laps:
 
 - **Sessions** — each session is a live :class:`~repro.emu.Emulator`
@@ -16,7 +16,7 @@ all of that warm across laps:
   losing a single cached decode or translated block for untouched
   pages.
 
-- **Shared persistent compile cache** — every session binds tier-2
+- **Shared persistent compile cache** — every session binds translated
   blocks and compiled RTL modules from one process-wide
   :class:`~repro.core.codecache.CodeCache`, so a firmware compiles
   once, ever, no matter how many sessions (or processes, when the
@@ -39,6 +39,7 @@ import time
 from ..core.metrics import MetricsRegistry
 from ..core.wire import HttpError, HttpServer, JsonClient, ResponseError, serve
 from ..core.wire import ServerThread as SessionServerThread
+from ..cpu.machine import resolve_backend
 from .renode import Emulator, _resolve_compile_cache
 
 SESSIONS_SCHEMA_VERSION = 1
@@ -88,14 +89,23 @@ def _build_emulator(spec, compile_cache):
         board = get_board(spec.get("board", "arty_a7_35t"))
     except KeyError as error:
         raise SessionError(str(error)) from None
+    sim_backend = _sim_backend(spec.get("sim_backend"), "auto")
     cfu = _build_cfu(spec.get("cfu"), spec.get("cfu_impl", "model"))
     return Emulator(
         Soc(board), cfu=cfu,
         with_timing=bool(spec.get("with_timing", True)),
         rtl_backend=spec.get("rtl_backend", "auto"),
-        sim_backend=spec.get("sim_backend", "auto"),
+        sim_backend=sim_backend,
         compile_cache=compile_cache,
     )
+
+
+def _sim_backend(name, default):
+    """``name`` checked as an ISA backend; an unknown one is a 400."""
+    try:
+        return resolve_backend(name, default)
+    except ValueError as error:
+        raise SessionError(str(error)) from None
 
 
 class Session:
@@ -152,7 +162,8 @@ class Session:
         budget = int(payload.get("max_instructions", 1_000_000))
         if budget < 1:
             raise SessionError(f"max_instructions must be >= 1, got {budget}")
-        backend = payload.get("backend")
+        backend = _sim_backend(payload.get("backend"),
+                               self.emulator.sim_backend)
         machine = self.emulator.machine
         before = machine.instret
         started = time.perf_counter()
@@ -219,7 +230,8 @@ class Session:
             raise SessionError(
                 "profile needs assembly-loaded firmware (no symbol table)")
         budget = int(payload.get("max_instructions", 1_000_000))
-        backend = payload.get("backend")
+        backend = _sim_backend(payload.get("backend"),
+                               self.emulator.sim_backend)
         machine = self.emulator.machine
         # Profile the loaded program from its entry point, not from
         # wherever the last run left the pc (that would measure the

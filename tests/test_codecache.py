@@ -119,9 +119,8 @@ def _run_hot(cache):
 
     machine = Machine()
     machine.compile_cache = cache
-    machine.hot_threshold = 1
     machine.load_assembly(HOT_LOOP)
-    machine.run(100_000, backend="translated")
+    machine.run(100_000, backend="auto")
     return machine
 
 
@@ -147,9 +146,8 @@ def test_tier2_key_depends_on_timing_config(tmp_path):
     cache = CodeCache(str(tmp_path))
     for with_timing in (True, False):
         emulator = Emulator(Soc(ARTY_A7_35T), with_timing=with_timing,
-                            sim_backend="translated",
+                            sim_backend="auto",
                             compile_cache=cache)
-        emulator.machine.hot_threshold = 1
         emulator.load_assembly(HOT_LOOP, region="flash")
         emulator.run(100_000)
     # timed and untimed variants are distinct entries, never shared

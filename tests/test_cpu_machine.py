@@ -219,35 +219,38 @@ EXIT_IN_3 = """
 """  # li expands to 2 instructions; ecall halts on the 3rd
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
-def test_halting_exactly_at_budget_succeeds(fast):
+@pytest.mark.parametrize("backend", ["auto", "step"],
+                         ids=["fast", "reference"])
+def test_halting_exactly_at_budget_succeeds(backend):
     """A program whose final permitted instruction halts cleanly must
     not raise 'instruction budget exhausted'."""
     machine = Machine()
     machine.load_assembly(EXIT_IN_3)
-    machine.run(max_instructions=3, fast=fast)
+    machine.run(max_instructions=3, backend=backend)
     assert machine.halted
     assert machine.instret == 3
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
-def test_budget_one_short_of_halt_raises(fast):
+@pytest.mark.parametrize("backend", ["auto", "step"],
+                         ids=["fast", "reference"])
+def test_budget_one_short_of_halt_raises(backend):
     machine = Machine()
     machine.load_assembly(EXIT_IN_3)
     with pytest.raises(RuntimeError, match="instruction budget exhausted"):
-        machine.run(max_instructions=2, fast=fast)
+        machine.run(max_instructions=2, backend=backend)
     assert not machine.halted
     assert machine.instret == 2
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
-def test_ebreak_exactly_at_budget_succeeds(fast):
+@pytest.mark.parametrize("backend", ["auto", "step"],
+                         ids=["fast", "reference"])
+def test_ebreak_exactly_at_budget_succeeds(backend):
     machine = Machine()
     machine.load_assembly("""
         addi a0, a0, 1
         ebreak
     """)
-    machine.run(max_instructions=2, fast=fast)
+    machine.run(max_instructions=2, backend=backend)
     assert machine.halted
 
 
@@ -258,7 +261,7 @@ def test_budget_enforced_on_fast_path():
         j spin
     """)
     with pytest.raises(RuntimeError, match="instruction budget exhausted"):
-        machine.run(max_instructions=100, fast=True)
+        machine.run(max_instructions=100, backend="auto")
     assert machine.instret == 100
 
 

@@ -126,8 +126,8 @@ def test_folded_export(tmp_path):
 
 def test_fast_false_matches_fast_true():
     """The reference step() collector stays available and identical."""
-    fast, fast_machine = profile_assembly(PROGRAM, fast=True)
-    ref, ref_machine = profile_assembly(PROGRAM, fast=False)
+    fast, fast_machine = profile_assembly(PROGRAM, backend="auto")
+    ref, ref_machine = profile_assembly(PROGRAM, backend="step")
     assert fast_machine.cycles == ref_machine.cycles
     assert {n: (e.cycles, e.instructions) for n, e in fast.entries.items()} \
         == {n: (e.cycles, e.instructions) for n, e in ref.entries.items()}

@@ -174,8 +174,7 @@ def test_vcd_identical_across_rtl_backends():
 
 def test_release_frees_ram_held_by_translated_blocks():
     emulator = Emulator(Soc(ARTY_A7_35T, ARTY_DEFAULT),
-                        sim_backend="translated")
-    emulator.machine.hot_threshold = 1
+                        sim_backend="auto")
     emulator.load_assembly("""
         li t0, 0x40001000
         li t1, 200

@@ -196,39 +196,37 @@ def test_machine_export_metrics_block_tier():
         ebreak
     """
     machine = Machine()
-    machine.hot_threshold = 4
     machine.load_assembly(src)
-    machine.run(backend="translated")
+    machine.run(backend="auto")
     assert machine.block_cache_entries >= 1
     assert machine.block_promotions >= 1
     reg = MetricsRegistry()
     machine.export_metrics(reg)
     assert reg.value("sim_block_cache_entries",
-                     tier="translated") == machine.block_cache_entries
+                     tier="auto") == machine.block_cache_entries
     assert reg.value("sim_block_promotions") == machine.block_promotions
     assert reg.value("sim_block_invalidations") == \
         machine.block_invalidation_count
     assert reg.value("sim_decode_cache_entries",
-                     tier="translated") == machine.decode_cache_entries
+                     tier="auto") == machine.decode_cache_entries
 
-    # A pure tier-1 run labels the same gauges with its own tier, so
-    # the two backends' cache sizes are never conflated.
+    # A step run labels the same gauges with its own tier, so the two
+    # backends' cache sizes are never conflated.
     other = Machine()
     other.load_assembly(src)
-    other.run(backend="fast")
+    other.run(backend="step")
     assert other.block_cache_entries == 0
     reg2 = MetricsRegistry()
     other.export_metrics(reg2)
     assert reg2.value("sim_decode_cache_entries",
-                      tier="fast") == other.decode_cache_entries
-    assert reg2.value("sim_block_cache_entries", tier="fast") == 0
+                      tier="step") == other.decode_cache_entries
+    assert reg2.value("sim_block_cache_entries", tier="step") == 0
 
 
 def test_machine_block_invalidation_metrics():
     from repro.cpu.machine import Machine
 
     machine = Machine()
-    machine.hot_threshold = 1
     machine.load_assembly("""
         li t0, 50
     loop:
@@ -236,7 +234,7 @@ def test_machine_block_invalidation_metrics():
         bnez t0, loop
         ebreak
     """)
-    machine.run(backend="translated")
+    machine.run(backend="auto")
     before = machine.block_invalidation_count
     assert machine.block_cache_entries >= 1
     # A store into the code page drops that page's blocks, exactly like

@@ -1,9 +1,10 @@
-"""Fast-path profiler parity: the decoded-cache collection path must be
-bit-identical to the reference step() collector.
+"""Fast-path profiler parity: the translated-block collection path must
+be bit-identical to the reference step() collector.
 
-This is the core guarantee of the reworked profiler: ``run(fast=True)``
-(cycle attribution inside :meth:`Machine._run_fast`) and ``run(fast=False)``
-(cycle deltas around every reference ``step()``) produce the *same*
+This is the core guarantee of the profiler: ``run(backend="auto")``
+(cycle attribution inside translated blocks and :meth:`Machine._run_fast`)
+and ``run(backend="step")`` (cycle deltas around every reference
+``step()``) produce the *same*
 per-symbol cycle and instruction maps, on real firmware images — the KWS
 dot-product firmware and the MNV2 1x1-convolution firmware, with their
 CFUs attached.
@@ -58,9 +59,9 @@ def _symbol_map(profile):
 def test_fast_and_reference_profiles_identical(image):
     setup = _FIRMWARE[image]
     emu_fast, symbols_fast = setup()
-    fast = MachineProfiler(emu_fast.machine, symbols_fast).run(fast=True)
+    fast = MachineProfiler(emu_fast.machine, symbols_fast).run(backend="auto")
     emu_ref, symbols_ref = setup()
-    ref = MachineProfiler(emu_ref.machine, symbols_ref).run(fast=False)
+    ref = MachineProfiler(emu_ref.machine, symbols_ref).run(backend="step")
 
     assert _symbol_map(fast) == _symbol_map(ref)
     assert fast.total_cycles == ref.total_cycles
@@ -79,10 +80,10 @@ def test_fast_and_reference_agree_under_budget_truncation(image):
     setup = _FIRMWARE[image]
     emu_fast, symbols_fast = setup()
     fast = MachineProfiler(emu_fast.machine, symbols_fast).run(
-        max_instructions=50, fast=True)
+        max_instructions=50, backend="auto")
     emu_ref, symbols_ref = setup()
     ref = MachineProfiler(emu_ref.machine, symbols_ref).run(
-        max_instructions=50, fast=False)
+        max_instructions=50, backend="step")
 
     assert fast.truncated and ref.truncated
     assert _symbol_map(fast) == _symbol_map(ref)

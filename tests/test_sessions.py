@@ -69,12 +69,11 @@ def test_manager_rejects_duplicate_session_id():
 
 def test_manager_shares_one_compile_cache(tmp_path):
     manager = SessionManager(compile_cache=str(tmp_path))
-    first = manager.create({"sim_backend": "translated"})
-    second = manager.create({"sim_backend": "translated"})
+    first = manager.create({"sim_backend": "auto"})
+    second = manager.create({"sim_backend": "auto"})
     assert first.emulator.machine.compile_cache \
         is second.emulator.machine.compile_cache
     for session in (first, second):
-        session.emulator.machine.hot_threshold = 1
         session.load({"assembly": COUNT_ASM, "region": "flash"})
         session.run({"max_instructions": 100_000})
     # the second session bound the first session's translated blocks
@@ -170,6 +169,29 @@ def test_wire_errors(fleet):
     with pytest.raises(SessionClientError) as error:
         client.request("GET", "/no/such/route")
     assert error.value.status == 404
+
+
+@pytest.mark.parametrize("name", ["bogus", "fast", "translated"])
+def test_wire_unknown_sim_backend_is_400(fleet, name):
+    """An unknown ISA backend is refused at the boundary with the valid
+    names, never accepted and then failed as a 500 on every run."""
+    manager, client = fleet
+    with pytest.raises(SessionClientError) as error:
+        client.create({"sim_backend": name})
+    assert error.value.status == 400
+    assert "expected one of auto, step" in error.value.payload["error"]
+    assert manager.sessions == {}
+
+    sid = client.create({})["session_id"]
+    client.load(sid, assembly=COUNT_ASM, region="flash")
+    for verb in (client.run, client.step, client.profile):
+        with pytest.raises(SessionClientError) as error:
+            verb(sid, max_instructions=100, backend=name)
+        assert error.value.status == 400
+        assert "expected one of auto, step" in error.value.payload["error"]
+    assert client.status(sid)["instret"] == 0
+    assert client.run(sid, max_instructions=100_000,
+                      backend="step")["halted"]
 
 
 def test_wire_metrics_and_eviction(fleet):

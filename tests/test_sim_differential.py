@@ -1,20 +1,20 @@
-"""Differential equivalence across the three execution backends.
+"""Differential equivalence between the two execution backends.
 
-Every backend of ``Machine.run`` — the reference interpreter
-(``step``), the decoded-op dispatch loop (``fast``), and the tier-2
-basic-block translation backend (``translated``) — must be
-architecturally bit-identical: same ``regs``, ``pc``, ``instret``,
-``cycles``, memory contents, CFU state, halt state, and exit code —
-with and without a timing model, with and without a CFU attached.
-Every firmware image from ``tests.test_integration_firmware`` and a
-randomized RV32IM corpus run through all backends here, plus the nasty
-cases: self-modifying code rewriting an already-promoted block, a
-branch target landing mid-block, and budget truncation.
+Both backends of ``Machine.run`` — the reference interpreter (``step``)
+and the translated-block tier (``auto``) — must be architecturally
+bit-identical: same ``regs``, ``pc``, ``instret``, ``cycles``, memory
+contents, CFU state, halt state, and exit code — with and without a
+timing model, with and without a CFU attached.  Every firmware image
+from ``tests.test_integration_firmware`` and a randomized RV32IM corpus
+run through both backends here, plus the nasty cases: self-modifying
+code rewriting an already-translated block, a branch target landing
+mid-block, and budget truncation.
 
-Translated runs pin ``hot_threshold = 1`` so every block promotes
-immediately — the corpus then exercises generated code rather than
-quietly staying on tier 1.
+``auto`` translates every block on its first dispatch, so the corpus
+exercises generated code from the first instruction on.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,8 +33,8 @@ from tests.test_integration_firmware import (
     postproc_firmware,
 )
 
-#: step first: it is the reference the others are diffed against.
-BACKENDS = ("step", "fast", "translated")
+#: step first: it is the reference the other is diffed against.
+BACKENDS = ("step", "auto")
 
 
 # --- state comparison -------------------------------------------------------------
@@ -189,8 +189,6 @@ def run_corpus(source, timing_config, with_cfu, backend):
     machine = Machine(
         cfu=KwsCfu() if with_cfu else None,
         timing=VexTiming(timing_config) if timing_config else None)
-    if backend == "translated":
-        machine.hot_threshold = 1
     machine.load_assembly(source)
     machine.run(max_instructions=100_000, backend=backend)
     return machine
@@ -205,7 +203,7 @@ def test_random_corpus_differential(seed, timing_config):
                                     backend=backend)
                 for backend in BACKENDS}
     assert all(m.halted for m in machines.values())
-    assert machines["translated"].block_promotions > 0
+    assert machines["auto"].block_promotions > 0
     assert_all_identical(machines)
 
 
@@ -243,13 +241,11 @@ def test_dot_product_firmware_differential(seed, make_cfu, with_timing):
     emulators, exit_codes = {}, set()
     for backend in BACKENDS:
         emu = firmware_emulator(make_cfu(), seed, with_timing)
-        if backend == "translated":
-            emu.machine.hot_threshold = 1
         exit_codes.add(emu.run(backend=backend))
         assert emu.uart_output == "OK"
         emulators[backend] = emu
     assert len(exit_codes) == 1
-    assert emulators["translated"].machine.block_promotions > 0
+    assert emulators["auto"].machine.block_promotions > 0
     assert_all_identical({b: e.machine for b, e in emulators.items()})
 
 
@@ -259,7 +255,6 @@ def test_postproc_firmware_differential():
     for backend in BACKENDS:
         soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
         emu = Emulator(soc, cfu=KwsCfu2Rtl())
-        emu.machine.hot_threshold = 1
         emu.load_assembly(postproc_firmware(mult, shift, zp, bias),
                           region="main_ram")
         emu.run(backend=backend)
@@ -274,7 +269,6 @@ def test_misuse_firmware_differential():
     for backend in BACKENDS:
         soc = Soc(ARTY_A7_35T, ARTY_DEFAULT)
         emu = Emulator(soc)
-        emu.machine.hot_threshold = 1
         emu.load_assembly("cfu 0, 0, a0, a1, a2", region="main_ram")
         with pytest.raises(RuntimeError, match="no CFU attached") as err:
             emu.run(backend=backend)
@@ -294,7 +288,6 @@ def test_misaligned_load_fails_identically():
     states, machines = [], []
     for backend in BACKENDS:
         machine = Machine()
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         with pytest.raises(Exception) as err:
             machine.run(backend=backend)
@@ -306,14 +299,40 @@ def test_misaligned_load_fails_identically():
         assert_same_memory(machine.memory, machines[0].memory)
 
 
+@pytest.mark.parametrize("fault", ["illegal", "no-multiplier"])
+def test_stepped_fault_fails_identically(fault):
+    """An instruction the translated tier refuses and steps — an illegal
+    word, or a MUL on a CPU without a multiplier — fails with the
+    reference's message and partial state, including the fetch and
+    hazard cycles charged before the fault."""
+    faulting = (".word 0xffffffff" if fault == "illegal"
+                else "mul x8, x7, x6")
+    source = f"""
+        li x6, 7
+        addi x7, x6, 3
+        {faulting}
+    """
+    timing = dataclasses.replace(ARTY_DEFAULT, multiplier="none")
+    states = []
+    for backend in BACKENDS:
+        machine = Machine(timing=VexTiming(timing))
+        machine.load_assembly(source)
+        with pytest.raises(RuntimeError) as err:
+            machine.run(backend=backend)
+        states.append((str(err.value), machine_state(machine),
+                       machine._pending_rd, machine._pending_is_load))
+    assert states.count(states[0]) == len(states), states
+    assert states[0][1]["instret"] == 3
+
+
 # --- budget truncation -------------------------------------------------------------
 
 @pytest.mark.parametrize("budget", [7, 50, 101, 250])
 def test_budget_truncation_differential(budget):
     """Exhausting the instruction budget mid-loop leaves identical
     partial state on every backend — including budgets that land in the
-    middle of a promoted block, where the translated tier must refuse
-    the whole-block dispatch and finish on tier 1."""
+    middle of a translated block, where the dispatch loop must refuse
+    the whole-block call and step the rest."""
     source = """
         li t0, 1000
         li t1, 0
@@ -326,7 +345,6 @@ def test_budget_truncation_differential(budget):
     states = []
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         with pytest.raises(RuntimeError, match="budget exhausted"):
             machine.run(max_instructions=budget, backend=backend)
@@ -363,19 +381,18 @@ def test_self_modifying_code_differential():
     machines = {}
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
-    assert machines["fast"].regs[10] == 1 + 2 * 4
-    assert machines["fast"].invalidation_count > 0
+    assert machines["auto"].regs[10] == 1 + 2 * 4
+    assert machines["auto"].invalidation_count > 0
     assert_all_identical(machines)
 
 
 def test_smc_rewrites_promoted_block():
     """Self-modifying code that patches a block *after* it has been
-    promoted to generated code: iteration 1 runs (and promotes, with
-    hot_threshold=1) the original block; its store then rewrites an
+    promoted to generated code: iteration 1 runs (and promotes, on its
+    first dispatch) the original block; its store then rewrites an
     instruction inside that very block, so the translated tier must
     invalidate the generated function and re-translate — landing on the
     same architectural results as the reference interpreter."""
@@ -402,11 +419,10 @@ def test_smc_rewrites_promoted_block():
     machines = {}
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
-    translated = machines["translated"]
+    translated = machines["auto"]
     assert translated.regs[10] == 1 + 10 * 5
     assert translated.block_promotions > 0
     assert translated.block_invalidation_count > 0
@@ -417,8 +433,8 @@ def test_branch_target_lands_mid_block():
     """A jump target in the *middle* of an already-promoted block: the
     first phase promotes the whole loop body; the second phase enters at
     ``mid``, which never headed a block before.  The translated tier
-    must treat the mid-block pc as a fresh block leader (or fall back to
-    tier 1) — never execute the containing block from its old entry."""
+    must treat the mid-block pc as a fresh block leader — never execute
+    the containing block from its old entry."""
     source = """
         li   t0, 20
         li   t1, 0
@@ -441,11 +457,10 @@ def test_branch_target_lands_mid_block():
     machines = {}
     for backend in BACKENDS:
         machine = Machine(timing=VexTiming(ARTY_DEFAULT))
-        machine.hot_threshold = 1
         machine.load_assembly(source)
         machine.run(backend=backend)
         machines[backend] = machine
-    translated = machines["translated"]
+    translated = machines["auto"]
     assert translated.halted
     # phase 1: 20x(+1+100); phase 2: +100 at entry, then 9x(+1+100).
     assert translated.regs[10] == 20 * 101 + 100 + 9 * 101

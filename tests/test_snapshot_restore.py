@@ -3,8 +3,8 @@
 ``Machine.snapshot()`` copies nothing up front — it protects the live
 pages and records a pre-image only when a page is first written — so
 its cost is O(pages later touched).  ``restore()`` must then rewind to
-a state from which re-execution is *bit-identical* on every ISA tier
-(``step``, ``fast``, ``translated``), through the whole-system
+a state from which re-execution is *bit-identical* on both ISA tiers
+(``step``, ``auto``), through the whole-system
 :class:`~repro.emu.Emulator` wrapper (CSRs, peripherals, UART), with a
 CFU attached in both RTL backends (``interp``, ``compiled``) — and
 even after self-modifying code stores into a snapshotted code page.
@@ -27,11 +27,11 @@ from repro.cpu import Machine, SparseMemory
 from repro.emu import Emulator
 from repro.soc import Soc
 
-BACKENDS = ("step", "fast", "translated")
+BACKENDS = ("step", "auto")
 RTL_BACKENDS = ("interp", "compiled")
 
-#: A loop hot enough to promote under the default threshold, plus
-#: memory traffic across two data pages.
+#: A loop that runs as a translated block, plus memory traffic across
+#: two data pages.
 LOOP_ASM = """
     li x5, 0x2000
     li x6, 0x3000
@@ -81,8 +81,6 @@ def page_images(memory):
 
 
 def run_to_halt(machine, backend):
-    if backend == "translated":
-        machine.hot_threshold = 1
     machine.run(100_000, backend=backend)
     assert machine.halted
     return machine_state(machine)
@@ -132,7 +130,7 @@ def test_restore_cost_scales_with_pages_touched():
         ecall
     """)
     snap = machine.snapshot()
-    run_to_halt(machine, "fast")
+    run_to_halt(machine, "auto")
     # nothing was stored: a register-only run restores zero pages
     assert machine.restore(snap) == 0
 
@@ -161,16 +159,15 @@ def test_discard_stops_undo_recording():
 def test_translated_blocks_survive_restore():
     machine = Machine()
     machine.load_assembly(LOOP_ASM)
-    machine.hot_threshold = 1
     snap = machine.snapshot()
-    machine.run(100_000, backend="translated")
+    machine.run(100_000, backend="auto")
     promoted = machine.block_cache_entries
     assert promoted > 0
     machine.restore(snap)
     # data pages rewind; the untouched code page keeps its blocks
     assert machine.block_cache_entries == promoted
     promotions_before = machine.block_promotions
-    machine.run(100_000, backend="translated")
+    machine.run(100_000, backend="auto")
     assert machine.block_promotions == promotions_before
     assert machine.halted
 
@@ -253,8 +250,6 @@ def test_emulator_snapshot_all_tiers(backend):
     emulator = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu(),
                         sim_backend=backend)
     emulator.load_assembly(uart_asm(emulator.soc), region="flash")
-    if backend == "translated":
-        emulator.machine.hot_threshold = 1
     snap = emulator.snapshot()
     emulator.run(100_000)
     first = emulator_state(emulator)
@@ -269,7 +264,7 @@ def test_emulator_snapshot_all_tiers(backend):
 @pytest.mark.parametrize("rtl_backend", RTL_BACKENDS)
 def test_emulator_snapshot_with_rtl_cfu(rtl_backend):
     emulator = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddRtl(),
-                        rtl_backend=rtl_backend, sim_backend="fast")
+                        rtl_backend=rtl_backend, sim_backend="auto")
     emulator.load_assembly(uart_asm(emulator.soc), region="flash")
     snap = emulator.snapshot()
     emulator.run(100_000)
@@ -280,7 +275,7 @@ def test_emulator_snapshot_with_rtl_cfu(rtl_backend):
     assert emulator_state(emulator) == first
 
     # model and gateware agree through a snapshot/restore cycle
-    model = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu(), sim_backend="fast")
+    model = Emulator(Soc(ARTY_A7_35T), cfu=SimdAddCfu(), sim_backend="auto")
     model.load_assembly(uart_asm(model.soc), region="flash")
     model.run(100_000)
     assert model.machine.regs == first["regs"]
@@ -288,7 +283,7 @@ def test_emulator_snapshot_with_rtl_cfu(rtl_backend):
 
 
 def test_emulator_snapshot_mid_run():
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="fast")
+    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto")
     emulator.load_assembly("""
         li a0, 0
         li a1, 100
@@ -316,9 +311,8 @@ loop:
 def test_reload_keeps_blocks_on_untouched_pages():
     """Reloading firmware into one region must not flush translated
     blocks for other pages (the old global flush_decode_cache())."""
-    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="translated")
+    emulator = Emulator(Soc(ARTY_A7_35T), sim_backend="auto")
     machine = emulator.machine
-    machine.hot_threshold = 1
     emulator.load_assembly(LOOP_ASM.replace("0x2000", "0x40000100")
                            .replace("0x3000", "0x40001100"),
                            region="flash")
@@ -343,7 +337,7 @@ def test_export_metrics_tracks_snapshot_cycle():
     machine = Machine()
     machine.load_assembly(LOOP_ASM)
     snap = machine.snapshot()
-    run_to_halt(machine, "fast")
+    run_to_halt(machine, "auto")
     machine.restore(snap)
     machine.flush_block_cache()
 
