@@ -508,7 +508,6 @@ def _simulate_class(name, trace, instructions, code_section, estimated,
         name=name, estimated_cycles=estimated,
         sim_cycles=profile.total_cycles, analytic_cycles=analytic,
         instructions=emulator.machine.instret, scale=scale, profile=profile)
-    emulator.release()
     return sim
 
 

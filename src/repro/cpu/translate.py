@@ -24,7 +24,7 @@ What the generated function bakes in as literals:
   inside the block) constant-folded into per-instruction literals, with
   only data-dependent costs (``fetch``/``load_cycles``/``store_cycles``
   cache state, branch-predictor outcomes, CFU latency) left as calls,
-- plain-RAM page access: loads/stores index the backing ``bytearray``
+- plain-RAM page access: loads/stores index the backing buffer
   directly through the bus page cache, falling back to the memory
   object's slow path for misses, CSR windows, read-only regions, and
   straddles.  The resolved page (data, base, writability) is kept in

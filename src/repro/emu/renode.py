@@ -19,6 +19,7 @@ from ..cfu.rtl import RtlCfu, RtlCfuAdapter
 from ..cpu.assembler import assemble
 from ..cpu.machine import Machine, resolve_backend
 from ..cpu.timing import VexTiming
+from ..soc.bus import BusError
 from ..soc.soc import Soc
 
 
@@ -55,21 +56,18 @@ class Emulator:
         self.machine = Machine(memory=self.bus, cfu=cfu, timing=timing)
         self.machine.compile_cache = _resolve_compile_cache(compile_cache)
 
-    def release(self):
-        """Free this emulator's RAM now; it must not run afterwards.
-
-        The machine sits in reference cycles that only the cyclic
-        collector breaks, so its RAM (a touched ``main_ram`` alone is
-        256 MiB) would otherwise outlive it by however long that
-        collector waits.  Translated blocks hold views of the RAM, so
-        they are dropped first.
-        """
-        self.machine.flush_decode_cache()
-        self.bus.release()
-
     # --- program loading -------------------------------------------------------
+    def _load_base(self, region, offset):
+        """Address of ``offset`` into ``region``; an offset outside the
+        region raises rather than loading into a neighbouring one."""
+        region = self.soc.memory_map.get(region)
+        if not 0 <= offset < region.size:
+            raise BusError(f"offset 0x{offset:x} lies outside region "
+                           f"{region.name!r} (0x{region.size:x} bytes)")
+        return region.base + offset
+
     def load_binary(self, blob, region="sram", offset=0):
-        base = self.soc.memory_map.get(region).base + offset
+        base = self._load_base(region, offset)
         self.bus.load_bytes(base, blob)
         # Loading bypasses the store path, so drop stale decodes — but
         # only for the pages actually rewritten: blocks translated for
@@ -79,7 +77,7 @@ class Emulator:
         return base
 
     def load_assembly(self, source, region="sram", offset=0):
-        base = self.soc.memory_map.get(region).base + offset
+        base = self._load_base(region, offset)
         code, symbols = assemble(source, origin=base)
         self.bus.load_bytes(base, code)
         self.machine.invalidate_pages(base, len(code))

@@ -40,6 +40,7 @@ from ..core.metrics import MetricsRegistry
 from ..core.wire import HttpError, HttpServer, JsonClient, ResponseError, serve
 from ..core.wire import ServerThread as SessionServerThread
 from ..cpu.machine import resolve_backend
+from ..soc.bus import BusError
 from .renode import Emulator, _resolve_compile_cache
 
 SESSIONS_SCHEMA_VERSION = 1
@@ -147,7 +148,7 @@ class Session:
                     "load needs 'assembly' or 'binary_hex'")
         except SessionError:
             raise
-        except (KeyError, ValueError) as error:
+        except (KeyError, ValueError, BusError) as error:
             raise SessionError(f"load failed: {error}") from None
         machine = self.emulator.machine
         machine.halted = False

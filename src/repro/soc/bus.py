@@ -8,6 +8,8 @@ loads and stores hit real RAM backings or peripheral registers.
 
 from __future__ import annotations
 
+import mmap
+
 from ..cpu.machine import CowPagesMixin
 from ..rtl.synth import ResourceReport
 
@@ -17,36 +19,23 @@ class BusError(RuntimeError):
 
 
 class RamBacking:
-    """A bytearray-backed RAM/ROM region.
+    """A RAM/ROM region backed by a private anonymous mapping.
 
-    The backing store materialises on first touch: an idle region (the
-    256 MiB ``main_ram`` of a session that only ever runs from flash)
-    costs no resident memory, which is what bounds how many warm
-    sessions one host can hold.  Reading ``data`` allocates, so code
-    that only wants to know whether the region was ever touched must
-    check ``materialized`` first.
+    The kernel zero-fills a page on first touch, so building a region is
+    O(1) and resident memory is only the pages firmware touched: an idle
+    256 MiB ``main_ram`` costs nothing, which is what bounds warm
+    sessions per host.  ``data`` speaks the bytearray protocol (indexing,
+    slices, same-length slice writes, ``memoryview``) but never changes
+    size.  ``MAP_PRIVATE`` keeps a forked child's writes out of its
+    parent's RAM.
     """
 
-    __slots__ = ("region", "writable", "_data")
+    __slots__ = ("region", "writable", "data")
 
     def __init__(self, region, writable=True):
         self.region = region
         self.writable = writable
-        self._data = None
-
-    @property
-    def materialized(self):
-        return self._data is not None
-
-    @property
-    def data(self):
-        data = self._data
-        if data is None:
-            data = self._data = bytearray(self.region.size)
-        return data
-
-    def load(self, offset, blob):
-        self.data[offset:offset + len(blob)] = blob
+        self.data = mmap.mmap(-1, region.size, flags=mmap.MAP_PRIVATE)
 
 
 _PAGE_BITS = 12
@@ -54,6 +43,12 @@ _PAGE_BITS = 12
 
 class SocBus(CowPagesMixin):
     """Decodes addresses to RAM backings or the CSR bank.
+
+    Every region is one :class:`RamBacking` mapping created with the
+    bus; none is ever resized or freed early, so the page caches below
+    and translated blocks' word views may hold ``backing.data`` for the
+    bus's lifetime.  Host memory follows the pages touched, not the
+    region sizes.
 
     Address decode is cached per 4 KiB page: pages that lie entirely
     inside one RAM region resolve to ``(backing, region_base, name)``
@@ -80,9 +75,9 @@ class SocBus(CowPagesMixin):
         self._init_cow()
         self._page_cache = {}
         # Parallel page cache for generated code (repro.cpu.translate):
-        # page -> (backing bytearray, region base, writable).  Kept in
+        # page -> (backing mapping, region base, writable).  Kept in
         # lockstep with _page_cache by _resolve_page; raw tuples so hot
-        # blocks index the bytearray without attribute lookups.
+        # blocks index the mapping without attribute lookups.
         self._page_data = {}
         # Per-region traffic accounting: (region, "read"|"write") ->
         # [transactions, bytes].  None (default) keeps the hot paths to
@@ -103,13 +98,6 @@ class SocBus(CowPagesMixin):
     def backing(self, name):
         return self.backings[name]
 
-    def release(self):
-        """Drop every materialised region; the bus is not used again."""
-        self._page_cache.clear()
-        self._page_data.clear()
-        for backing in self.backings.values():
-            backing._data = None
-
     # --- copy-on-write hooks (CowPagesMixin) -----------------------------------------
     def _cow_all_pages(self):
         pages = set()
@@ -129,13 +117,8 @@ class SocBus(CowPagesMixin):
             end = min(hi, region.end)
             if start < end:
                 offset = start - region.base
-                if backing.materialized:
-                    blob = bytes(backing.data[offset:offset + end - start])
-                else:
-                    # Never touched: the pre-image is zeros, and taking
-                    # it must not materialise the whole region.
-                    blob = bytes(end - start)
-                pieces.append((name, offset, blob))
+                pieces.append((name, offset,
+                               backing.data[offset:offset + end - start]))
         return pieces or None
 
     def _cow_restore_page(self, index, saved):
@@ -176,12 +159,17 @@ class SocBus(CowPagesMixin):
         return registry
 
     def load_bytes(self, addr, blob):
+        backing, offset = self._locate(addr)
+        if offset + len(blob) > backing.region.size:
+            raise BusError(
+                f"load of {len(blob)} bytes at 0x{addr:08x} overruns "
+                f"region {backing.region.name!r} (ends at "
+                f"0x{backing.region.end:08x})")
         if blob and self._cow_protected:
             for page in range(addr >> _PAGE_BITS,
                               ((addr + len(blob) - 1) >> _PAGE_BITS) + 1):
                 if page in self._cow_protected:
                     self._cow_record(page)
-        backing, offset = self._locate(addr)
         backing.data[offset:offset + len(blob)] = blob
 
     def _locate(self, addr):

@@ -171,6 +171,24 @@ def test_wire_errors(fleet):
     assert error.value.status == 404
 
 
+@pytest.mark.parametrize("offset", [16 * 1024 * 1024 - 4, 16 * 1024 * 1024])
+def test_wire_load_past_region_end_is_400(fleet, offset):
+    """A load that overruns its region (or starts past its end) is a
+    400 naming the region; the region neither grows nor changes."""
+    manager, client = fleet
+    sid = client.create({})["session_id"]
+    bus = manager.get(sid).emulator.bus
+    flash = bus.backing("flash")
+    assert flash.region.size == 16 * 1024 * 1024
+    with pytest.raises(SessionClientError) as error:
+        client.load(sid, binary_hex="0102030405060708", region="flash",
+                    offset=offset)
+    assert error.value.status == 400
+    assert "'flash'" in error.value.payload["error"]
+    assert len(flash.data) == flash.region.size
+    assert flash.data[-4:] == bytes(4)
+
+
 @pytest.mark.parametrize("name", ["bogus", "fast", "translated"])
 def test_wire_unknown_sim_backend_is_400(fleet, name):
     """An unknown ISA backend is refused at the boundary with the valid

@@ -72,9 +72,12 @@ def assert_same_memory(fast_memory, slow_memory):
                     == bytes(slow_pages.get(index, zero))), (
                 f"memory mismatch in page {index:#x}")
         return
+    chunk = 1 << 20
     for name, backing in fast_memory.backings.items():
-        assert backing.data == slow_memory.backings[name].data, (
-            f"memory mismatch in region {name}")
+        data, other = backing.data, slow_memory.backings[name].data
+        for lo in range(0, len(data), chunk):
+            assert data[lo:lo + chunk] == other[lo:lo + chunk], (
+                f"memory mismatch in region {name} near offset {lo:#x}")
 
 
 def assert_identical(machine, reference, label=""):

@@ -1,5 +1,7 @@
 """SoC tests: memory map, bus, CSRs, peripherals, linker."""
 
+import os
+
 import pytest
 
 from repro.boards import ARTY_A7_35T, FOMU
@@ -49,24 +51,60 @@ def test_bus_read_write(fomu_soc):
     assert bus.read32(base + 16) == 0xCAFEBA11
 
 
-def test_ram_backings_materialize_lazily(arty_soc):
-    """An untouched region costs no resident memory (what bounds warm
-    sessions per host); first touch allocates, snapshots of untouched
-    pages record zero pre-images without allocating."""
+def _resident_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm for resident memory")
+def test_ram_costs_only_touched_pages(arty_soc):
+    """A region costs the host the pages firmware touches, not its size
+    (what bounds warm sessions per host): a snapshot, a one-word write
+    and a restore grow resident memory by far less than the 256 MiB
+    ``main_ram``."""
+    before = _resident_bytes()
     bus = arty_soc.bus()
-    ram = bus.backing("main_ram")
-    assert not ram.materialized
-
-    snap = bus.snapshot()                # protects every page: no alloc
-    assert not ram.materialized
-
+    snap = bus.snapshot()
     base = arty_soc.memory_map.get("main_ram").base
-    bus.write32(base + 8, 0x12345678)    # first touch materialises
-    assert ram.materialized
+    bus.write32(base + 8, 0x12345678)
     assert bus.read32(base + 8) == 0x12345678
-
-    bus.restore(snap)                    # pre-image of a lazy page: zeros
+    bus.restore(snap)                    # pre-image of an untouched page: zeros
     assert bus.read32(base + 8) == 0
+    assert _resident_bytes() - before < 32 * 1024 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_writes_stay_private(arty_soc):
+    """A forked child (DSE/multiprocessing workers) writing RAM must not
+    write into its parent's copy."""
+    bus = arty_soc.bus()
+    addr = arty_soc.memory_map.get("main_ram").base + 64
+    bus.write32(addr, 0x11111111)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            bus.write32(addr, 0x22222222)
+            os._exit(0 if bus.read32(addr) == 0x22222222 else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert bus.read32(addr) == 0x11111111
+
+
+def test_load_past_region_end_raises(arty_soc):
+    """A blob that overruns its region is refused before any byte lands;
+    the region never grows and no byte leaks past its end."""
+    bus = arty_soc.bus()
+    flash = arty_soc.memory_map.get("flash")
+    addr = flash.base + flash.size - 2
+    with pytest.raises(BusError, match=f"0x{addr:08x}.*'flash'"):
+        bus.load_bytes(addr, b"\x01\x02\x03\x04\x05\x06")
+    assert len(bus.backing("flash").data) == flash.size
+    assert bus.read16(addr) == 0
+    bus.load_bytes(addr, b"\x01\x02")  # exactly to the end is fine
+    assert bus.read16(addr) == 0x0201
 
 
 def test_flash_is_read_only_on_bus(fomu_soc):
