@@ -6,7 +6,7 @@ paper reuses the 4-way multiply-accumulate across use cases.
 
 from __future__ import annotations
 
-from ..rtl import Const, Mux, Signal
+from ..rtl import Const, Mux
 
 
 def lane_s8(word, lane):
@@ -64,7 +64,3 @@ def requantize_expr(acc_with_bias, multiplier, right_shift, zero_point,
     scaled = rdbpot_expr(high, right_shift)
     with_zp = scaled + zero_point
     return clamp_expr(with_zp, act_min, act_max)
-
-
-def signed_reg(width, name):
-    return Signal(width, name=name, signed=True)

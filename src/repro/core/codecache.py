@@ -1,26 +1,26 @@
-"""Persistent cross-process code cache for generated simulator code.
+"""Content-addressed persistent cache: the stack's one key scheme and layout.
 
-Tier-2 basic-block translation (:mod:`repro.cpu.translate`) and the
-compiled RTL backend (:mod:`repro.rtl.compile`) both *code-generate*
-Python source deterministically from their inputs: a block's source is
-a pure function of the instruction bytes and the timing configuration;
-a module's ``comb``/``tick`` pair is a pure function of the netlist
-structure.  That makes the generated source content-addressable — the
-same firmware explored by forty DSE workers should be code-generated
-*once per host, ever*, not once per worker per trial.
+This is the only module that builds a content key, shards a path,
+writes JSON atomically or reads a torn file as a miss.  Its consumers:
+tier-2 basic-block translation (:mod:`repro.cpu.translate`) and the
+compiled RTL backends (:mod:`repro.rtl.compile`, :mod:`repro.rtl.batched`),
+which code-generate Python source as a pure function of their inputs,
+so the same firmware explored by forty DSE workers is generated *once
+per host, ever*; the Fig. 7 evaluator
+(:class:`repro.dse.runner.Fig7Evaluator`), which keeps one evaluation
+record per ``code_key("dse-eval", ...)``; and the study store
+(:mod:`repro.dse.store`), which takes its keys and atomic writer from
+here.
 
-:class:`CodeCache` stores generated source keyed by a SHA-256 of the
-canonical JSON of the generator's inputs, on the same sharded
-atomic-rename layout as the DSE :class:`~repro.dse.cache.EvaluationCache`
-(``root/<key[:2]>/<key>.json``), fronted by an in-process dict so the
+:class:`CodeCache` stores JSON value documents keyed by a SHA-256 of
+the canonical JSON of their inputs, one file per key at
+``root/<key[:2]>/<key>.json``, fronted by an in-process dict so the
 disk is touched once per key per process.  Corrupt, torn, or
 foreign-schema files read as misses — a broken shard costs one
-re-generation, never an exception.
-
-The cache stores *source text*, never code objects: every consumer
-re-``exec``-utes the source and re-binds its own live objects (machine
-methods, cache instances, signal slots), so nothing process-specific
-ever lands on disk and any process can consume any other's entries.
+re-generation, never an exception.  Generated code is stored as
+*source text*, never code objects: every consumer re-``exec``-utes it
+and re-binds its own live objects, so any process can consume any
+other's entries.
 
 A process-wide default cache is configured with :func:`configure` or
 the ``REPRO_CODECACHE_DIR`` environment variable; ``None`` means
@@ -46,11 +46,35 @@ def canonical_payload(payload):
                       default=repr)
 
 
+def content_key(payload):
+    """SHA-256 hex digest of ``payload``: raw bytes as given, anything
+    else through its :func:`canonical_payload` text."""
+    if not isinstance(payload, bytes):
+        payload = canonical_payload(payload).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
+
+
 def code_key(kind, payload):
     """Content-address one generator invocation: its kind + inputs."""
-    text = canonical_payload({"kind": kind, "schema": CODECACHE_SCHEMA_VERSION,
-                              "payload": payload})
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return content_key({"kind": kind, "schema": CODECACHE_SCHEMA_VERSION,
+                        "payload": payload})
+
+
+def atomic_write_json(path, payload):
+    """Publish ``payload`` at ``path`` atomically (temp file + rename):
+    concurrent readers see the old file or the new one, never half of
+    one."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 class CodeCacheStats:
@@ -111,7 +135,7 @@ class CodeCache:
     def __len__(self):
         return len(self._memory)
 
-    # --- disk layer (EvaluationCache layout) ----------------------------------------
+    # --- disk layer -----------------------------------------------------------------
     def _path(self, key):
         return os.path.join(self.cache_dir, key[:2], key + ".json")
 
@@ -128,24 +152,12 @@ class CodeCache:
             return MISS
 
     def _store(self, key, value):
-        path = self._path(key)
-        directory = os.path.dirname(path)
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            atomic_write_json(self._path(key), {
+                "schema": CODECACHE_SCHEMA_VERSION, "key": key,
+                "value": value})
         except OSError:
-            return  # unwritable cache dir: stay in-memory only
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"schema": CODECACHE_SCHEMA_VERSION, "key": key,
-                           "value": value}, handle)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+            pass  # unwritable cache dir: stay in-memory only
 
 
 # --- the process-wide default ---------------------------------------------------

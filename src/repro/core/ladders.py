@@ -126,11 +126,6 @@ def mnv2_ladder():
     return steps
 
 
-def is_conv_1x1(op_cost):
-    return op_cost.opcode == "CONV_2D" and op_cost.variant != "reference" or (
-        op_cost.opcode == "CONV_2D" and op_cost.op_name.endswith("_1x1"))
-
-
 def mnv2_1x1_filter(model):
     """Predicate selecting the 1x1 CONV_2D operators of a built model."""
     names = {

@@ -82,10 +82,6 @@ class Playground:
         self.cfu_resources = resources or ResourceReport()
         return self
 
-    def set_cpu(self, cpu_config):
-        self.soc.with_cpu(cpu_config)
-        return self
-
     def reconfigure_cpu(self, **changes):
         self.soc.with_cpu(self.soc.cpu_config.evolve(**changes))
         return self

@@ -6,8 +6,8 @@ deploy-profile-optimize cycle) record what happened into a
 
 - **spans** — named, attribute-tagged durations on a monotonic clock
   (wall-clock changes cannot corrupt timings);
-- **counters** — monotonic named tallies (``cache_hit``, ``cache_miss``,
-  ``fit_reject``, ...);
+- **counters** — monotonic named tallies (``cache_hit``, ``fit_reject``,
+  ...) in the tracer's :class:`~repro.core.metrics.MetricsRegistry`;
 - **events** — point-in-time progress markers (per-family study
   progress, study start/end).
 
@@ -21,6 +21,8 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .metrics import MetricsRegistry
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -43,7 +45,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans, counters, and events for one run.
+    """Collects spans and events for one run; counters go to ``metrics``.
 
     ``clock`` is injectable for tests; it must be monotonic.  All
     recorded times are relative to the tracer's construction instant.
@@ -54,7 +56,7 @@ class Tracer:
         self._epoch = clock()
         self.spans = []
         self.events = []
-        self.counters = {}
+        self.metrics = MetricsRegistry()
         self._records = []            # spans + events in completion order
 
     # --- recording --------------------------------------------------------------
@@ -99,8 +101,7 @@ class Tracer:
         self._records.append(span.record())
 
     def count(self, name, amount=1):
-        self.counters[name] = self.counters.get(name, 0) + amount
-        return self.counters[name]
+        return self.metrics.counter(name).add(amount)
 
     def event(self, name, **attrs):
         record = {"type": "event", "name": name, "time": round(self.now(), 9)}
@@ -113,7 +114,7 @@ class Tracer:
     def header(self):
         return {"type": "trace", "schema": TRACE_SCHEMA_VERSION,
                 "spans": len(self.spans), "events": len(self.events),
-                "counters": dict(sorted(self.counters.items()))}
+                "counters": {s.name: s.value for s in self.metrics.series()}}
 
     def records(self):
         """Header + every span/event record, in completion order."""
@@ -129,19 +130,18 @@ class Tracer:
 
     # --- human summary ----------------------------------------------------------
     def summary(self):
-        hits = self.counters.get("cache_hit", 0)
-        misses = self.counters.get("cache_miss", 0)
-        lookups = hits + misses
-        rate = 100.0 * hits / lookups if lookups else 0.0
+        counters = self.header()["counters"]
+        hits, misses = (counters.get(name, 0)
+                        for name in ("cache_hit", "cache_miss"))
+        rate = 100.0 * hits / max(hits + misses, 1)
         lines = [
             f"trace: {len(self.spans)} spans, {len(self.events)} events",
             f"cache: {hits} hits / {misses} misses "
             f"({rate:.1f}% hit rate)",
-            f"fit rejects: {self.counters.get('fit_reject', 0)}",
+            f"fit rejects: {counters.get('fit_reject', 0)}",
         ]
-        for name in sorted(self.counters):
-            if name not in ("cache_hit", "cache_miss", "fit_reject"):
-                lines.append(f"{name}: {self.counters[name]}")
+        lines += [f"{name}: {value}" for name, value in counters.items()
+                  if name not in ("cache_hit", "cache_miss", "fit_reject")]
         busy = sum(s.duration for s in self.spans)
         lines.append(f"span time: {busy:.3f}s over {self.now():.3f}s elapsed")
         return "\n".join(lines)

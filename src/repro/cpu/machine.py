@@ -77,10 +77,6 @@ class MemorySnapshot:
     def __init__(self):
         self.pages = {}
 
-    @property
-    def pages_recorded(self):
-        return len(self.pages)
-
 
 class CowPagesMixin:
     """The copy-on-write bookkeeping shared by :class:`SparseMemory`
@@ -733,9 +729,6 @@ class Machine:
     def set_reg(self, index, value):
         if index:
             self.regs[index] = value & _MASK32
-
-    def get_reg(self, index):
-        return self.regs[index]
 
     # --- execution ------------------------------------------------------------------
     def run(self, max_instructions=1_000_000, backend="auto"):

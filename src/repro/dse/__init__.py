@@ -1,7 +1,6 @@
 """Design-space exploration: the Open Source Vizier stand-in."""
 
 from .algorithms import GridSearch, RandomSearch, RegularizedEvolution, TpeLite
-from .cache import CACHE_SCHEMA_VERSION, MISS, EvaluationCache, cache_key
 from .characterize import (
     OPERAND_CLASSES,
     CharacterizationTarget,
@@ -47,7 +46,6 @@ from .service import (
 from .space import CACHE_SIZES, Parameter, ParameterSpace, point_to_cpu_config, vexriscv_space
 from .store import STORE_SCHEMA_VERSION, StudyStore, TrialRecord
 from .study import MAXIMIZE, MINIMIZE, MetricGoal, Study, Trial
-from .vizier import StudyClient, VizierError, VizierService
 from .worker import (
     ClientError,
     ServiceClient,
@@ -62,22 +60,22 @@ from .worker import (
 )
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION", "CACHE_SIZES", "CFU_FAMILIES",
+    "CACHE_SIZES", "CFU_FAMILIES",
     "CharacterizationTarget", "ClassProfile", "ClientError",
     "LatencyEnvelope", "OPERAND_CLASSES", "characterization_targets",
     "characterize_cfu",
     "DEFAULT_BATCH", "DEFAULT_LEASE_SECONDS", "DseHttpServer", "DsePoint",
-    "DseResult", "DseService", "EvalOutcome", "EvaluationCache",
+    "DseResult", "DseService", "EvalOutcome",
     "ExhaustiveResult", "ExhaustiveSweeper", "FamilyPlane", "FaultInjector",
     "Fig7Evaluator", "GridSearch", "GridTensors", "MAXIMIZE", "MINIMIZE",
-    "MISS", "MetricGoal", "MultiprocessingBackend", "Parameter",
+    "MetricGoal", "MultiprocessingBackend", "Parameter",
     "ParameterSpace", "RandomSearch", "RegularizedEvolution",
     "STORE_SCHEMA_VERSION", "VectorizedFit",
     "SerialBackend", "ServiceClient", "ServiceError", "ServiceStudy",
     "ServiceThread", "ServiceUnavailable", "StaleLeaseError", "Study",
-    "StudyClient", "StudyStore", "TpeLite", "Trial", "TrialRecord",
-    "VizierError", "VizierService", "WorkerFleet", "WorkerPool",
-    "WorkerPoolError", "cache_key", "create_fig7_studies", "dominates",
+    "StudyStore", "TpeLite", "Trial", "TrialRecord",
+    "WorkerFleet", "WorkerPool",
+    "WorkerPoolError", "create_fig7_studies", "dominates",
     "evaluate_design", "fetch_result", "hypervolume_2d", "pareto_front",
     "pareto_front_indices", "point_to_cpu_config", "run_exhaustive_service",
     "run_fig7", "run_fig7_service", "run_worker", "search_regret", "serve",

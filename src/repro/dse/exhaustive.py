@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ..models import load
 from ..perf.vectorized import COST_AXES, BatchCostModel
 from ..soc import Soc
 from .pareto import hypervolume_2d
-from .runner import CFU_FAMILIES, DsePoint, DseResult, evaluate_design, family_extras
+from .runner import CFU_FAMILIES, DsePoint, evaluate_design, family_extras
 from .space import vexriscv_space
 
 #: Default number of trials streamed per service completion batch.
@@ -346,14 +346,6 @@ class ExhaustiveResult:
 
     def front_metrics(self, family):
         return self.planes[family].front_metrics()
-
-    def to_result(self):
-        """The fronts as a :class:`~repro.dse.runner.DseResult`."""
-        result = DseResult()
-        for family in self.planes:
-            for point in self.front_points(family):
-                result.add(point)
-        return result
 
     def summary(self):
         lines = [f"exhaustive sweep: {self.points_evaluated:,} points "

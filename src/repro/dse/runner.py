@@ -14,7 +14,7 @@ two oracles the paper wires into Vizier.  The total space is
 
 Evaluation runs on the parallel engine: trials are suggested in
 fixed-size batches, served from a content-addressed
-:class:`~repro.dse.cache.EvaluationCache` when warm, and cache misses
+:class:`~repro.core.codecache.CodeCache` when warm, and cache misses
 are sharded across a :class:`~repro.dse.pool.WorkerPool`.  The batch
 size is deliberately independent of the worker count, so the same seed
 produces the same Pareto fronts whether the run is serial or parallel.
@@ -24,12 +24,15 @@ on a :class:`~repro.core.tracing.Tracer`.
 
 from __future__ import annotations
 
+import os
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from ..accel.kws.resources import cfu2_resources
 from ..accel.mnv2.resources import stage_resources
 from ..boards import ARTY_A7_35T, fit
+from ..core.codecache import MISS, CodeCache, code_key, content_key
 from ..core.tracing import Tracer
 from ..kernels.conv1x1 import OverlapInput
 from ..kernels.kws import kws_variants
@@ -37,8 +40,8 @@ from ..kernels.reference import reference_variants
 from ..models import load
 from ..perf.estimator import estimate_inference
 from ..soc import Soc
+from ..tflm.serialize import dump_model
 from .algorithms import RegularizedEvolution
-from .cache import MISS, EvaluationCache, cache_key
 from .pareto import pareto_front
 from .pool import WorkerPool
 from .space import point_to_cpu_config, vexriscv_space
@@ -225,25 +228,54 @@ def _fig7_worker_evaluate(task):
     return point, time.monotonic() - start
 
 
+# One fingerprint per model object: serializing MobileNetV2 takes ~20 ms,
+# and every run_fig7 round builds a fresh evaluator over the same
+# memoized model.
+_MODEL_FINGERPRINTS = weakref.WeakKeyDictionary()
+
+
+def _model_fingerprint(model):
+    """Content key of ``model``'s serialized form.  The name alone is
+    not an identity: variants such as another ``num_classes`` share it."""
+    fingerprint = _MODEL_FINGERPRINTS.get(model)
+    if fingerprint is None:
+        fingerprint = content_key(dump_model(model))
+        _MODEL_FINGERPRINTS[model] = fingerprint
+    return fingerprint
+
+
+def evaluation_cache(cache_dir=None):
+    """A :class:`CodeCache` for :class:`Fig7Evaluator`, in memory or
+    under ``cache_dir`` (created here, so an unusable directory fails
+    before any trial runs)."""
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)
+    return CodeCache(cache_dir)
+
+
 class Fig7Evaluator:
     """Evaluates one (cpu point, family) to (cycles, cells); None = no fit.
 
-    Backed by an :class:`EvaluationCache` (in-memory by default, or a
-    persistent directory) and a :class:`Tracer` that counts cache
-    hits/misses and fit rejections.
+    Backed by a :class:`CodeCache` of ``DsePoint.to_record()`` documents
+    (``None`` for "does not fit"; in-memory by default, or a persistent
+    directory) and a :class:`Tracer` that counts cache hits/misses and
+    fit rejections.
     """
 
     def __init__(self, model=None, board=ARTY_A7_35T, cache=None, tracer=None):
         self.model = model or load("mobilenet_v2", width_multiplier=0.75,
                                    num_classes=100)
         self.board = board
-        self.cache = cache if cache is not None else EvaluationCache()
+        self.cache = cache if cache is not None else CodeCache()
         self.tracer = tracer if tracer is not None else Tracer()
 
     def cache_key(self, parameters, family):
-        return cache_key(parameters, family,
-                         model=getattr(self.model, "name", None),
-                         board=self.board.name)
+        return code_key("dse-eval", {
+            "family": family,
+            "parameters": {str(name): parameters[name] for name in parameters},
+            "model": _model_fingerprint(self.model),
+            "board": self.board.name,
+        })
 
     def evaluate(self, parameters, family):
         return self.evaluate_batch([(parameters, family)])[0].point
@@ -263,7 +295,9 @@ class Fig7Evaluator:
                 # same batch: either way no new evaluation is spent
                 if cached is not MISS:
                     self.tracer.count("cache_hit")
-                    outcomes[index] = EvalOutcome(point=cached, cache_hit=True)
+                    point = (None if cached is None
+                             else DsePoint.from_record(cached))
+                    outcomes[index] = EvalOutcome(point=point, cache_hit=True)
                 else:
                     pending[key].append(index)
             else:
@@ -277,7 +311,8 @@ class Fig7Evaluator:
                 results = [self._timed_evaluate(parameters, family)
                            for parameters, family in jobs]
             for key, (point, seconds) in zip(keys, results):
-                self.cache.put(key, point)
+                self.cache.put(key, None if point is None
+                               else point.to_record())
                 indices = pending[key]
                 self.tracer.count("cache_miss")
                 if point is None:
@@ -295,9 +330,6 @@ class Fig7Evaluator:
         point = evaluate_design(self.model, self.board, parameters, family)
         return point, time.monotonic() - start
 
-    def _evaluate(self, parameters, family):
-        return evaluate_design(self.model, self.board, parameters, family)
-
 
 def run_fig7(trials_per_family=120, seed=0, evaluator=None,
              algorithm_factory=None, workers=1, batch=None, cache_dir=None,
@@ -314,11 +346,11 @@ def run_fig7(trials_per_family=120, seed=0, evaluator=None,
     """
     if evaluator is None:
         tracer = tracer if tracer is not None else Tracer()
-        evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir),
+        evaluator = Fig7Evaluator(cache=evaluation_cache(cache_dir),
                                   tracer=tracer)
     else:
         if cache_dir is not None:
-            evaluator.cache = EvaluationCache(cache_dir)
+            evaluator.cache = evaluation_cache(cache_dir)
         if tracer is not None:
             evaluator.tracer = tracer  # one tracer owns the whole run
         else:

@@ -1,12 +1,12 @@
 """Persistent sharded study store: crash-safe studies and trials on disk.
 
-The layout is the :class:`~repro.dse.cache.EvaluationCache` layout,
-promoted from evaluation outcomes to whole studies: every record is one
-JSON file at a content-addressed path ``root/<key[:2]>/...``, written
-atomically via temp-file + rename so a crash (or a concurrent reader)
-can never observe a half-written record.  The key of a study is the
-SHA-256 of ``(owner, study_id)``; the key of a trial is the SHA-256 of
-``(study_key, trial_id)``:
+The layout is the :mod:`repro.core.codecache` layout, promoted from
+single values to whole studies: every record is one JSON file at a
+content-addressed path ``root/<key[:2]>/...``, written atomically via
+temp-file + rename so a crash (or a concurrent reader) can never
+observe a half-written record.  Keys and the atomic writer come from
+codecache.  The key of a study is the SHA-256 of ``(owner, study_id)``;
+the key of a trial is the SHA-256 of ``(study_key, trial_id)``:
 
 ```
 store_root/
@@ -23,11 +23,11 @@ trial survives.  This is the property the fault-injection suite
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
+
+from ..core.codecache import atomic_write_json, content_key
 
 STORE_SCHEMA_VERSION = 1
 
@@ -39,37 +39,16 @@ COMPLETED = "COMPLETED"    # metrics (or the infeasible verdict) recorded
 TRIAL_STATES = (PENDING, CLAIMED, COMPLETED)
 
 
-def _digest(payload):
-    document = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=repr)
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
-
-
 def study_key(owner, study_id):
     """Content address of a study: SHA-256 over (owner, study_id)."""
-    return _digest({"schema": STORE_SCHEMA_VERSION, "owner": str(owner),
-                    "study_id": str(study_id)})
+    return content_key({"schema": STORE_SCHEMA_VERSION, "owner": str(owner),
+                        "study_id": str(study_id)})
 
 
 def trial_key(study, trial_id):
     """Content address of a trial within its study."""
-    return _digest({"schema": STORE_SCHEMA_VERSION, "study": study,
-                    "trial_id": int(trial_id)})
-
-
-def atomic_write_json(path, payload):
-    """Publish ``payload`` at ``path`` atomically (temp file + rename)."""
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    return content_key({"schema": STORE_SCHEMA_VERSION, "study": study,
+                        "trial_id": int(trial_id)})
 
 
 @dataclass

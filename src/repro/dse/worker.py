@@ -32,8 +32,14 @@ import threading
 import time
 
 from ..core.wire import TRANSPORT_ERRORS, JsonClient, ResponseError
-from .cache import EvaluationCache
-from .runner import CFU_FAMILIES, DEFAULT_BATCH, DsePoint, DseResult, Fig7Evaluator
+from .runner import (
+    CFU_FAMILIES,
+    DEFAULT_BATCH,
+    DsePoint,
+    DseResult,
+    Fig7Evaluator,
+    evaluation_cache,
+)
 
 #: Study owner used by the Fig. 7 reproduction studies.
 FIG7_OWNER = "fig7"
@@ -196,7 +202,7 @@ def run_worker(base_url, worker_id="worker-0", evaluator=None,
     and ``max_trials`` bound the loop for tests.
     """
     if evaluator is None:
-        evaluator = Fig7Evaluator(cache=EvaluationCache(cache_dir))
+        evaluator = Fig7Evaluator(cache=evaluation_cache(cache_dir))
     if client is None:
         client = ServiceClient(base_url, worker_id=worker_id, sleep=sleep)
     stats = WorkerStats()
@@ -252,7 +258,7 @@ class WorkerFleet:
                  poll_interval=0.05, eval_latency=0.0):
         self.base_url = base_url
         self.evaluator = evaluator or Fig7Evaluator(
-            cache=EvaluationCache(cache_dir))
+            cache=evaluation_cache(cache_dir))
         self.stop_event = threading.Event()
         self.stats = [WorkerStats() for _ in range(workers)]
         self._threads = []

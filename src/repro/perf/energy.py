@@ -64,10 +64,6 @@ class EnergyBreakdown:
         return (self.compute_uj + self.memory_uj + self.fetch_uj
                 + self.cfu_uj + self.static_uj)
 
-    @property
-    def total_mj(self):
-        return self.total_uj / 1000
-
     def __add__(self, other):
         return EnergyBreakdown(
             self.compute_uj + other.compute_uj,

@@ -224,10 +224,6 @@ class Module:
         self.memories.append(memory)
         return memory
 
-    def add_submodule(self, module):
-        self.submodules.append(module)
-        return module
-
     def flatten(self):
         """Yield this module and all submodules, depth first."""
         yield self

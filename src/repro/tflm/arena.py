@@ -30,12 +30,6 @@ class ArenaPlan:
     allocations: list = field(default_factory=list)
     arena_bytes: int = 0
 
-    def offset_of(self, tensor_name):
-        for alloc in self.allocations:
-            if alloc.tensor_name == tensor_name:
-                return alloc.offset
-        raise KeyError(tensor_name)
-
     @property
     def sum_of_sizes(self):
         return sum(a.size for a in self.allocations)

@@ -268,24 +268,6 @@ class ModelBuilder:
         return self._finish_op("AVERAGE_POOL_2D", op_name, [self.tip],
                                out_tensor, params, sample_out)
 
-    def max_pool(self, pool_size, stride=None, padding="valid", name=None):
-        in_tensor = self._tip_tensor()
-        if isinstance(pool_size, int):
-            pool_size = (pool_size, pool_size)
-        stride = stride or pool_size
-        if isinstance(stride, int):
-            stride = (stride, stride)
-        op_name = name or self._unique("maxpool")
-        sample_out = pool_ops.max_pool_reference(
-            self.samples[self.tip], pool_size, stride, padding
-        )
-        params = {"pool_size": pool_size, "stride": stride, "padding": padding,
-                  "macs": 0}
-        out_tensor = Tensor(name=f"{op_name}_out", shape=sample_out.shape,
-                            quant=in_tensor.quant)
-        return self._finish_op("MAX_POOL_2D", op_name, [self.tip],
-                               out_tensor, params, sample_out)
-
     def add(self, other_name, relu=False, name=None):
         """Residual add of the current tip with an earlier tensor."""
         in1 = self._tip_tensor()

@@ -84,12 +84,6 @@ class Model:
     def total_macs(self):
         return sum(op.macs for op in self.operators)
 
-    def macs_by_opcode(self):
-        totals = {}
-        for op in self.operators:
-            totals[op.opcode] = totals.get(op.opcode, 0) + op.macs
-        return totals
-
     def weights_bytes(self):
         """Bytes of constant data (the .rodata the KWS study moves around)."""
         return sum(t.bytes for t in self.tensors.values() if t.is_constant)

@@ -42,14 +42,6 @@ class Tensor:
     def bytes(self):
         return self.num_elements * np.dtype(self.dtype).itemsize
 
-    def set_data(self, array):
-        array = np.asarray(array, dtype=self.dtype)
-        if array.shape != self.shape:
-            raise ValueError(
-                f"tensor {self.name}: shape {array.shape} != declared {self.shape}"
-            )
-        self.data = array
-
     def dequantize(self):
         if self.data is None:
             raise ValueError(f"tensor {self.name} has no data")

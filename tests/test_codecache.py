@@ -70,13 +70,14 @@ def test_corrupt_and_foreign_schema_files_read_as_miss(tmp_path):
     cache.put(key, {"v": 1})
     path = cache._path(key)
 
-    with open(path, "w") as handle:
-        handle.write("{ torn")
-    assert CodeCache(str(tmp_path)).get(key) is MISS
-
-    with open(path, "w") as handle:
-        json.dump({"schema": 999, "key": key, "value": {"v": 1}}, handle)
-    assert CodeCache(str(tmp_path)).get(key) is MISS
+    foreign = json.dumps({"schema": 999, "key": key, "value": {"v": 1}})
+    for garbage in ("", "{ torn", "\x00\xff not json", "0", foreign):
+        with open(path, "w") as handle:
+            handle.write(garbage)
+        fresh = CodeCache(str(tmp_path))
+        assert fresh.get(key) is MISS      # ignored, not crashed on
+        fresh.put(key, {"v": 1})           # ...and rebuilt in place
+        assert CodeCache(str(tmp_path)).get(key) == {"v": 1}
 
 
 def test_unwritable_cache_dir_degrades_to_memory(tmp_path):

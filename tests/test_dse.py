@@ -83,27 +83,26 @@ param_dicts = st.dictionaries(
 )
 
 
+_evaluator = Fig7Evaluator()
+
+
 @given(parameters=param_dicts, seed=st.integers(0, 2**16))
 def test_cache_key_ignores_dict_insertion_order(parameters, seed):
-    from repro.dse import cache_key
-
     import random
 
     names = list(parameters)
     random.Random(seed).shuffle(names)
     reordered = {name: parameters[name] for name in names}
-    assert cache_key(parameters, "cfu1", model="m", board="b") \
-        == cache_key(reordered, "cfu1", model="m", board="b")
+    assert _evaluator.cache_key(parameters, "cfu1") \
+        == _evaluator.cache_key(reordered, "cfu1")
 
 
 @given(a=param_dicts, b=param_dicts)
 def test_cache_key_distinct_configs_do_not_collide(a, b):
     import json
 
-    from repro.dse import cache_key
-
-    key_a = cache_key(a, "cfu1", model="m", board="b")
-    key_b = cache_key(b, "cfu1", model="m", board="b")
+    key_a = _evaluator.cache_key(a, "cfu1")
+    key_b = _evaluator.cache_key(b, "cfu1")
     # canonical-JSON equality, not dict equality: JSON (and the key)
     # rightly distinguishes True from 1 where Python's == does not
     same = (json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True))
@@ -112,15 +111,39 @@ def test_cache_key_distinct_configs_do_not_collide(a, b):
 
 @given(parameters=param_dicts)
 def test_cache_key_separates_families_models_and_boards(parameters):
-    from repro.dse import cache_key
+    from repro.boards import FOMU
+    from repro.models import load
 
+    other_model = Fig7Evaluator(model=load("dscnn_kws"))
+    other_board = Fig7Evaluator(board=FOMU)
     keys = {
-        cache_key(parameters, "cfu1", model="m", board="b"),
-        cache_key(parameters, "cfu2", model="m", board="b"),
-        cache_key(parameters, "cfu1", model="other", board="b"),
-        cache_key(parameters, "cfu1", model="m", board="other"),
+        _evaluator.cache_key(parameters, "cfu1"),
+        _evaluator.cache_key(parameters, "cfu2"),
+        other_model.cache_key(parameters, "cfu1"),
+        other_board.cache_key(parameters, "cfu1"),
     }
     assert len(keys) == 4
+
+
+def test_shared_cache_dir_keeps_model_variants_apart(tmp_path):
+    """Two MobileNetV2 variants share a name but not their cycles, so a
+    shared cache dir must never serve one the other's evaluations."""
+    from repro.dse import evaluate_design
+    from repro.models import load
+
+    cycles = []
+    for classes in (100, 1000):
+        model = load("mobilenet_v2", width_multiplier=0.75,
+                     num_classes=classes)
+        assert model.name == "mobilenet_v2_0.75_96"
+        evaluator = Fig7Evaluator(model=model)
+        result = run_fig7(trials_per_family=4, seed=0, evaluator=evaluator,
+                          cache_dir=tmp_path)
+        for point in result.points:
+            assert point == evaluate_design(model, evaluator.board,
+                                            point.parameters, point.family)
+        cycles.append(sorted(p.cycles for p in result.points))
+    assert cycles[0] != cycles[1]
 
 
 def test_hypervolume_simple():
@@ -306,4 +329,5 @@ def test_fig7_evaluator_caches():
     point = space.sample(random.Random(0))
     first = evaluator.evaluate(point, "none")
     second = evaluator.evaluate(point, "none")
-    assert first is second
+    assert first == second
+    assert evaluator.tracer.metrics.value("cache_hit") == 1

@@ -7,24 +7,27 @@ import os
 
 import pytest
 
+from repro.core.codecache import (
+    CODECACHE_SCHEMA_VERSION,
+    MISS,
+    CodeCache,
+    code_key,
+)
 from repro.core.tracing import Tracer
 from repro.dse import (
     CFU_FAMILIES,
     DsePoint,
     DseResult,
-    EvaluationCache,
     Fig7Evaluator,
-    MISS,
     ParameterSpace,
     Parameter,
     Study,
     WorkerPool,
     WorkerPoolError,
-    cache_key,
     run_fig7,
     vexriscv_space,
 )
-from repro.dse.cache import CACHE_SCHEMA_VERSION
+from repro.dse.runner import evaluation_cache
 
 
 def family_fronts(result):
@@ -48,14 +51,14 @@ def test_fig7_warm_cache_rerun_evaluates_nothing(tmp_path):
     cold_tracer = Tracer()
     cold = run_fig7(trials_per_family=30, seed=0, cache_dir=cache_dir,
                     tracer=cold_tracer)
-    assert cold_tracer.counters["cache_miss"] == 90
-    assert cold_tracer.counters.get("cache_hit", 0) == 0
+    assert cold_tracer.metrics.value("cache_miss") == 90
+    assert "cache_hit" not in cold_tracer.metrics
 
     warm_tracer = Tracer()
     warm = run_fig7(trials_per_family=30, seed=0, cache_dir=cache_dir,
                     tracer=warm_tracer)
-    assert warm_tracer.counters.get("cache_miss", 0) == 0  # zero evaluations
-    assert warm_tracer.counters["cache_hit"] == 90
+    assert "cache_miss" not in warm_tracer.metrics  # zero evaluations
+    assert warm_tracer.metrics.value("cache_hit") == 90
     assert family_fronts(cold) == family_fronts(warm)
 
 
@@ -65,7 +68,7 @@ def test_fig7_warm_cache_serves_parallel_runs_too(tmp_path):
     tracer = Tracer()
     warm = run_fig7(trials_per_family=12, seed=3, cache_dir=cache_dir,
                     workers=3, tracer=tracer)
-    assert tracer.counters.get("cache_miss", 0) == 0
+    assert "cache_miss" not in tracer.metrics
     assert family_fronts(cold) == family_fronts(warm)
 
 
@@ -185,59 +188,72 @@ def _point(**overrides):
     return DsePoint.from_record(record)
 
 
+def _key(x, family="none"):
+    return code_key("dse-eval", {"family": family, "parameters": {"x": x},
+                                 "model": "m", "board": "b"})
+
+
 def test_cache_round_trips_points_across_instances(tmp_path):
-    key = cache_key({"x": 1}, "cfu2", model="m", board="b")
-    EvaluationCache(tmp_path).put(key, _point())
-    reloaded = EvaluationCache(tmp_path).get(key)  # fresh instance: disk path
-    assert reloaded == _point()
+    key = _key(1, "cfu2")
+    evaluation_cache(tmp_path).put(key, _point().to_record())
+    reloaded = evaluation_cache(tmp_path).get(key)  # fresh instance: disk path
+    assert DsePoint.from_record(reloaded) == _point()
 
 
 def test_cache_persists_infeasible_verdicts(tmp_path):
-    key = cache_key({"x": 2}, "cfu1", model="m", board="b")
-    EvaluationCache(tmp_path).put(key, None)
-    assert EvaluationCache(tmp_path).get(key) is None  # cached, not MISS
+    key = code_key("dse-eval", {"x": 2})
+    CodeCache(tmp_path).put(key, None)
+    assert CodeCache(tmp_path).get(key) is None  # cached, not MISS
 
 
 def test_cache_miss_is_distinguishable_from_infeasible(tmp_path):
-    cache = EvaluationCache(tmp_path)
+    cache = CodeCache(tmp_path)
     assert cache.get("0" * 64) is MISS
 
 
 def test_cache_tolerates_truncated_and_garbage_files(tmp_path):
-    cache = EvaluationCache(tmp_path)
-    key = cache_key({"x": 3}, "none", model="m", board="b")
-    cache.put(key, _point())
+    cache = evaluation_cache(tmp_path)
+    key = _key(3)
+    cache.put(key, _point().to_record())
     path = cache._path(key)
 
     for garbage in ("", '{"schema": 1, "fit":', "\x00\xff not json"):
         with open(path, "w") as handle:
             handle.write(garbage)
-        fresh = EvaluationCache(tmp_path)
+        fresh = evaluation_cache(tmp_path)
         assert fresh.get(key) is MISS  # ignored, not crashed on
-        fresh.put(key, _point())       # ...and rebuilt in place
-        assert EvaluationCache(tmp_path).get(key) == _point()
-        with open(path, "w") as handle:
-            handle.write(garbage)
+        fresh.put(key, _point().to_record())  # ...and rebuilt in place
+        reloaded = evaluation_cache(tmp_path).get(key)
+        assert DsePoint.from_record(reloaded) == _point()
 
 
 def test_cache_ignores_foreign_schema_versions(tmp_path):
-    cache = EvaluationCache(tmp_path)
-    key = cache_key({"x": 4}, "none", model="m", board="b")
-    cache.put(key, _point())
+    cache = evaluation_cache(tmp_path)
+    key = _key(4)
+    cache.put(key, _point().to_record())
     path = cache._path(key)
     with open(path) as handle:
         record = json.load(handle)
-    record["schema"] = CACHE_SCHEMA_VERSION + 1
+    record["schema"] = CODECACHE_SCHEMA_VERSION + 1
     with open(path, "w") as handle:
         json.dump(record, handle)
-    assert EvaluationCache(tmp_path).get(key) is MISS
+    assert evaluation_cache(tmp_path).get(key) is MISS
 
 
 def test_cache_files_are_sharded_by_key_prefix(tmp_path):
-    cache = EvaluationCache(tmp_path)
-    key = cache_key({"x": 5}, "none", model="m", board="b")
+    cache = evaluation_cache(tmp_path)
+    key = _key(5)
     cache.put(key, None)
     assert os.path.exists(os.path.join(tmp_path, key[:2], key + ".json"))
+
+
+def test_unusable_cache_dir_fails_before_any_trial(tmp_path):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory")
+    tracer = Tracer()
+    with pytest.raises(OSError):
+        run_fig7(trials_per_family=2, cache_dir=blocked, tracer=tracer)
+    assert tracer.spans == []
 
 
 def test_evaluator_returns_identical_object_on_memory_hit():
@@ -245,16 +261,16 @@ def test_evaluator_returns_identical_object_on_memory_hit():
     point = vexriscv_space().sample(__import__("random").Random(0))
     first = evaluator.evaluate(point, "none")
     second = evaluator.evaluate(point, "none")
-    assert first is second
-    assert evaluator.tracer.counters["cache_miss"] == 1
-    assert evaluator.tracer.counters["cache_hit"] == 1
+    assert first == second  # rebuilt from the cached record
+    assert evaluator.tracer.metrics.value("cache_miss") == 1
+    assert evaluator.tracer.metrics.value("cache_hit") == 1
 
 
 def test_evaluator_batch_dedups_within_one_batch():
     evaluator = Fig7Evaluator()
     point = vexriscv_space().sample(__import__("random").Random(1))
     outcomes = evaluator.evaluate_batch([(point, "none"), (point, "none")])
-    assert evaluator.tracer.counters["cache_miss"] == 1
+    assert evaluator.tracer.metrics.value("cache_miss") == 1
     assert outcomes[0].point is outcomes[1].point
     assert not outcomes[0].cache_hit and outcomes[1].cache_hit
 

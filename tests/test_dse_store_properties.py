@@ -104,6 +104,16 @@ def test_keys_are_content_addresses():
     assert trial_key(skey, 1) != trial_key(skey, 2)
 
 
+def test_store_keys_are_pinned():
+    # stores written by earlier releases must still resume: the keys
+    # (and so every on-disk path) never move
+    skey = study_key("fig7", "fig7-none")
+    assert skey == ("fee367ccb27301fa1b02fde615a94a59"
+                    "c2831de9030cddac525402469dfdb5d6")
+    assert trial_key(skey, 1) == ("1871229b7a08623b0b3539b94d89c870"
+                                  "364b466ff0c5b004e360bd5d66000fe5")
+
+
 @settings(max_examples=25, deadline=None)
 @given(garbage=st.binary(max_size=64))
 def test_store_tolerates_arbitrary_garbage_files(tmp_path_factory, garbage):

@@ -82,7 +82,9 @@ def test_counters_accumulate(tracer):
     tracer.count("cache_hit")
     tracer.count("cache_hit", 2)
     tracer.count("fit_reject")
-    assert tracer.counters == {"cache_hit": 3, "fit_reject": 1}
+    assert tracer.metrics.value("cache_hit") == 3
+    assert tracer.metrics.value("fit_reject") == 1
+    assert len(tracer.metrics) == 2
 
 
 def test_events_carry_time_and_attrs(tracer, clock):
