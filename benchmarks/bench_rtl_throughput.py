@@ -18,15 +18,24 @@ same file.  Both tests merge-preserve sections owned by the other (the
 The batched test runs the same workloads as N independent lanes of ONE
 lane-parallel simulation (:class:`BatchRtlCfuDriver`) and compares the
 aggregate throughput against a compiled-scalar loop over the same lanes,
-asserting bit-identical per-lane results and cycle counts; it owns the
-``batched`` section of the same file.
+asserting bit-identical per-lane results and cycle counts.  Its
+256-lane headline names ``backend="batched"``, so it measures the
+vectorized program whatever ``backend="auto"`` picks.
+
+The lane-curve test records absolute ops/s of the compiled-scalar
+loop, scalar lanes (``backend="scalar"``) and the batched program at
+1 to 256 lanes, best of 3, with the commit/host/toolchain provenance,
+and checks that ``BATCH_MIN_LANES`` (where ``backend="auto"`` switches
+to the batched program) sits at or above the measured crossover.  The
+two tests share the ``batched`` section of the file: the headline test
+owns its top-level keys, the curve test its ``lane_curve`` key.
 
 Knobs:
 - ``REPRO_RTL_BENCH_OPS``           ops per CFU workload (default 400)
 - ``REPRO_RTL_SPEEDUP_MIN``         headline threshold (default 5.0)
 - ``REPRO_WINOGRAD_SPEEDUP_MIN``    ladder cycle-reduction bar (default 5.0)
 - ``REPRO_RTL_BATCHED_LANES``       lanes per batched workload (default 256)
-- ``REPRO_RTL_BATCHED_OPS``         ops per lane (default 40)
+- ``REPRO_RTL_BATCHED_OPS``         ops per lane, headline and curve (default 40)
 - ``REPRO_RTL_BATCHED_SPEEDUP_MIN`` aggregate speedup bar (default 8.0)
 - ``REPRO_RTL_BATCHED_TRIALS``      interleaved timing trials per side, best-of (default 5)
 """
@@ -37,7 +46,7 @@ import os
 import random
 import time
 
-from common import merge_bench_section, merge_preserve
+from common import merge_preserve, merge_section_keys, provenance
 
 from repro.accel import Cfu1Rtl, KwsCfu2Rtl, Mac4Rtl, PostprocRtl, WinogradRtl
 from repro.accel.kws import model as km
@@ -60,6 +69,8 @@ BATCH_OPS = int(os.environ.get("REPRO_RTL_BATCHED_OPS", "40"))
 BATCH_MIN = float(os.environ.get("REPRO_RTL_BATCHED_SPEEDUP_MIN", "8.0"))
 BATCH_TRIALS = int(os.environ.get("REPRO_RTL_BATCHED_TRIALS", "5"))
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_rtl.json")
+CURVE_LANES = (1, 4, 16, 32, 64, 128, 256)
+CURVE_TRIALS = 3
 
 
 def kws_sequence(rng, count):
@@ -258,43 +269,71 @@ def test_rtl_throughput(report):
         f"{headline['workload']} (needs ≥{SPEEDUP_MIN}x)")
 
 
+def scalar_loop(adapter, sequences):
+    """One fresh compiled-scalar adapter run per lane sequence."""
+    results = []
+    for sequence in sequences:
+        adapter.reset()
+        results.append([adapter.execute(*op) for op in sequence])
+    return results
+
+
+def best_of(trials, runs):
+    """Best-of-``trials`` seconds and the last results of each named run.
+
+    The runs' trials are interleaved: the quantity under test is the
+    cost of the work, not scheduler noise, and sampling every side
+    under the same ambient load keeps their ratio fair even when
+    interference lasts longer than a single trial.  GC is paused so a
+    collection doesn't land inside one side's best trial.
+    """
+    seconds = {name: math.inf for name in runs}
+    results = {}
+    gc.disable()
+    try:
+        for _ in range(trials):
+            for name, run in runs.items():
+                start = time.perf_counter()
+                results[name] = run()
+                seconds[name] = min(seconds[name],
+                                    time.perf_counter() - start)
+            gc.collect()
+    finally:
+        gc.enable()
+    return seconds, results
+
+
+def driver_run(driver, sequences):
+    def run():
+        driver.reset()
+        return driver.run(sequences)
+    return run
+
+
+def lane_sequences(make_sequence, lanes):
+    return [make_sequence(random.Random(1000 + lane), BATCH_OPS)
+            for lane in range(lanes)]
+
+
 def measure_batched():
     from repro.cfu import BatchRtlCfuDriver
 
     rows = []
     for name, factory, make_sequence in WORKLOADS:
-        sequences = [make_sequence(random.Random(1000 + lane), BATCH_OPS)
-                     for lane in range(BATCH_LANES)]
+        sequences = lane_sequences(make_sequence, BATCH_LANES)
         # Drivers are built outside the timed region: codegen is cached
         # (CodeCache) and the claim under test is lane-advance
         # throughput, matching the scalar loop which also reuses its
-        # compiled program across lanes.
-        driver = BatchRtlCfuDriver(factory(), lanes=BATCH_LANES)
+        # compiled program across lanes.  The backend is named so the
+        # headline measures the vectorized program at any lane count.
+        driver = BatchRtlCfuDriver(factory(), lanes=BATCH_LANES,
+                                   backend="batched")
         adapter = RtlCfuAdapter(factory(), backend="compiled")
-        # Best-of-N on both sides, with the two sides' trials
-        # interleaved: the quantity under test is the cost of the work,
-        # not scheduler noise, and sampling both sides under the same
-        # ambient load keeps the ratio fair even when interference
-        # lasts longer than a single trial.  GC is paused so a
-        # collection doesn't land inside one side's best trial.
-        batched_s = scalar_s = math.inf
-        gc.disable()
-        try:
-            for _ in range(BATCH_TRIALS):
-                start = time.perf_counter()
-                driver.reset()
-                batched_results = driver.run(sequences)
-                batched_s = min(batched_s, time.perf_counter() - start)
-                start = time.perf_counter()
-                scalar_results = []
-                for sequence in sequences:
-                    adapter.reset()
-                    scalar_results.append(
-                        [adapter.execute(*op) for op in sequence])
-                scalar_s = min(scalar_s, time.perf_counter() - start)
-                gc.collect()
-        finally:
-            gc.enable()
+        seconds, results = best_of(BATCH_TRIALS, {
+            "batched": driver_run(driver, sequences),
+            "scalar": lambda: scalar_loop(adapter, sequences),
+        })
+        batched_s, scalar_s = seconds["batched"], seconds["scalar"]
         total_ops = BATCH_LANES * BATCH_OPS
         rows.append({
             "workload": name,
@@ -310,7 +349,7 @@ def measure_batched():
                 "ops_per_second": round(total_ops / batched_s),
             },
             "aggregate_speedup": round(scalar_s / batched_s, 2),
-            "identical": batched_results == scalar_results,
+            "identical": results["batched"] == results["scalar"],
         })
     return rows
 
@@ -337,7 +376,7 @@ def test_rtl_batched_throughput(report):
             "passed": headline["aggregate_speedup"] >= BATCH_MIN,
         },
     }
-    merge_bench_section(BENCH_PATH, "batched", payload)
+    merge_section_keys(BENCH_PATH, "batched", payload)
 
     report(f"Batched RTL throughput (lanes={BATCH_LANES}, "
            f"ops/lane={BATCH_OPS})")
@@ -361,6 +400,100 @@ def test_rtl_batched_throughput(report):
     assert headline["aggregate_speedup"] >= BATCH_MIN, (
         f"batched backend only {headline['aggregate_speedup']}x on "
         f"{headline['workload']} (needs >={BATCH_MIN}x)")
+
+
+def crossover(points):
+    """Smallest measured lane count from which the batched program
+    beats scalar lanes at every larger one (None: it never does)."""
+    found = None
+    for point in reversed(points):
+        if point["batched_ops_per_second"] \
+                <= point["scalar_lanes_ops_per_second"]:
+            break
+        found = point["lanes"]
+    return found
+
+
+def measure_lane_curve():
+    from repro.cfu import BatchRtlCfuDriver
+
+    curve = []
+    for name, factory, make_sequence in WORKLOADS:
+        points = []
+        for lanes in CURVE_LANES:
+            sequences = lane_sequences(make_sequence, lanes)
+            adapter = RtlCfuAdapter(factory(), backend="compiled")
+            runs = {"compiled": lambda: scalar_loop(adapter, sequences)}
+            for backend in ("scalar", "batched"):
+                driver = BatchRtlCfuDriver(factory(), lanes=lanes,
+                                           backend=backend)
+                runs[driver.backend] = driver_run(driver, sequences)
+            seconds, results = best_of(CURVE_TRIALS, runs)
+            total_ops = lanes * BATCH_OPS
+            points.append({
+                "lanes": lanes,
+                "compiled_ops_per_second": round(
+                    total_ops / seconds["compiled"]),
+                "scalar_lanes_ops_per_second": round(
+                    total_ops / seconds["scalar-lanes"]),
+                "batched_ops_per_second": round(
+                    total_ops / seconds["batched"]),
+                "identical": (results["scalar-lanes"] == results["compiled"]
+                              == results["batched"]),
+            })
+        curve.append({"workload": name, "points": points,
+                      "crossover_lanes": crossover(points)})
+    return curve
+
+
+def test_rtl_lane_curve(report):
+    """Absolute ops/s of the compiled-scalar loop, scalar lanes and the
+    batched program from 1 to 256 lanes: every lane bit-identical on
+    every side, and ``backend="auto"`` switching to the batched program
+    no earlier than where it starts to win."""
+    from repro.rtl import BATCH_MIN_LANES
+
+    curve = measure_lane_curve()
+    covered = [row["workload"] for row in curve
+               if row["crossover_lanes"] is not None
+               and row["crossover_lanes"] <= BATCH_MIN_LANES]
+    merge_section_keys(BENCH_PATH, "batched", {
+        "lane_curve": {
+            "description": ("absolute ops/s per side, best of "
+                            f"{CURVE_TRIALS}; crossover_lanes is the "
+                            "smallest lane count from which batched beats "
+                            "scalar-lanes at every larger one"),
+            "provenance": provenance(),
+            "ops_per_lane": BATCH_OPS,
+            "batch_min_lanes": BATCH_MIN_LANES,
+            "workloads": curve,
+        },
+    })
+
+    report(f"Lane curve (ops/lane={BATCH_OPS}, best of {CURVE_TRIALS}; "
+           f"ops/s; BATCH_MIN_LANES={BATCH_MIN_LANES})")
+    report(f"{'workload':<15} {'lanes':>5} {'compiled':>10} "
+           f"{'scalar-lanes':>13} {'batched':>10}  results")
+    for row in curve:
+        for point in row["points"]:
+            report(f"{row['workload']:<15} {point['lanes']:>5} "
+                   f"{point['compiled_ops_per_second']:>10,} "
+                   f"{point['scalar_lanes_ops_per_second']:>13,} "
+                   f"{point['batched_ops_per_second']:>10,}  "
+                   f"{'identical' if point['identical'] else 'MISMATCH'}")
+        report(f"{row['workload']:<15} crossover at "
+               f"{row['crossover_lanes']} lanes")
+    report(f"[BENCH_rtl.json batched.lane_curve written to "
+           f"{os.path.abspath(BENCH_PATH)}]")
+
+    for row in curve:
+        for point in row["points"]:
+            assert point["identical"], (
+                f"{row['workload']} x{point['lanes']}: lanes diverged")
+    assert len(covered) >= len(curve) - 1, (
+        f"BATCH_MIN_LANES={BATCH_MIN_LANES} sits below the measured "
+        f"crossover on more than one CFU (at or above it only on "
+        f"{covered})")
 
 
 def test_winograd_ladder(report):

@@ -9,10 +9,16 @@ merge disciplines keep them from clobbering each other:
   semantics; the caller owns every key it names).
 - :func:`merge_bench_section` — replace exactly one top-level section,
   leaving everything else untouched.
+- :func:`merge_section_keys` — update some keys of one section, for
+  benchmarks that share a section (``batched`` in ``BENCH_rtl.json``).
 """
 
+import importlib.util
 import json
 import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write(path, document):
@@ -42,3 +48,30 @@ def merge_bench_section(path, section, payload):
             existing = json.load(handle)
     existing[section] = payload
     return _write(path, existing)
+
+
+def merge_section_keys(path, section, payload):
+    """Update the keys ``payload`` names inside ``section``, keeping the
+    section's other keys and the rest of the document."""
+    existing = {}
+    if os.path.exists(path):
+        with open(path) as handle:
+            existing = json.load(handle)
+    existing.setdefault(section, {}).update(payload)
+    return _write(path, existing)
+
+
+def provenance():
+    """Commit, host and toolchain of a measurement: the header
+    ``perfbench/run.py`` prints, plus the NumPy version."""
+    import numpy
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(run)  # puts perfbench/ on sys.path
+    finally:
+        sys.path[:] = path
+    return dict(run.provenance(), numpy=numpy.__version__)

@@ -405,9 +405,11 @@ def build_parser():
     dse_char.add_argument("--seed", type=int, default=0)
     dse_char.add_argument("--backend", default="auto",
                           choices=("auto", "batched", "scalar"),
-                          help="batched-simulation backend (auto falls "
-                               "back to lockstep scalar lanes when the "
-                               "netlist cannot be vectorized)")
+                          help="batched-simulation backend (auto runs "
+                               "lockstep scalar lanes below "
+                               "BATCH_MIN_LANES lanes or when the netlist "
+                               "cannot be vectorized, the lane-parallel "
+                               "program otherwise)")
     dse_char.add_argument("--json-out", default=None,
                           help="also write the envelope as JSON here")
     dse_char.set_defaults(func=_cmd_dse_characterize)

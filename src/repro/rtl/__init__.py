@@ -29,8 +29,8 @@ from .compile import CompiledProgram, CompiledSimulator, CompileError, compile_m
 from .synth import ResourceReport, estimate
 from .verilog import emit as emit_verilog
 
-_BATCHED_EXPORTS = ("BatchSimulator", "BatchCompileError", "BatchProgram",
-                    "compile_module_batched")
+_BATCHED_EXPORTS = ("BATCH_MIN_LANES", "BatchSimulator", "BatchCompileError",
+                    "BatchProgram", "compile_module_batched")
 
 
 def __getattr__(name):
@@ -45,6 +45,7 @@ def __getattr__(name):
 
 __all__ = [
     "Assign",
+    "BATCH_MIN_LANES",
     "BatchCompileError",
     "BatchProgram",
     "BatchSimulator",

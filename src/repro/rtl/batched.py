@@ -31,14 +31,21 @@ Slot arrays are never mutated in place — ``comb``/``tick`` rebind fresh
 (or aliased) arrays — so pokes can share arrays with callers safely.
 Memory arrays *are* mutated in place, so every memory read copies.
 
-``BatchSimulator(module, lanes=N)`` is the public entry point.  When
+``BatchSimulator(module, lanes=N)`` is the public entry point.  With
+``backend="auto"`` it picks by lane count: below
+:data:`BATCH_MIN_LANES` lanes, where per-clock NumPy dispatch costs
+more than it saves, it runs N lockstep scalar
+:class:`~repro.rtl.sim.Simulator` instances behind the same API
+(``"scalar-lanes"``) and never compiles the batched program.  From
+:data:`BATCH_MIN_LANES` up it runs the lane-parallel program, unless
 the netlist cannot be batched (combinational cycle, a >64-bit signal
-or memory, or a construct listed in :func:`_batch_block_reason`),
-``backend="auto"`` silently degrades to N lockstep
-scalar :class:`~repro.rtl.sim.Simulator` instances with the same API;
-``backend="batched"`` raises instead.  Per-lane results are bit
-identical to the scalar compiled simulator either way
-(:mod:`tests.test_rtl_batched` is the differential proof).
+or memory, or a construct listed in :func:`_batch_block_reason`), in
+which case it also falls back to scalar lanes.  ``backend="batched"``
+forces the lane-parallel program at any lane count and raises where
+it cannot be built; ``backend="scalar"`` forces scalar lanes.
+Per-lane results are bit identical to the scalar compiled simulator
+on every path (:mod:`tests.test_rtl_batched` is the differential
+proof).
 
 The generated source is lane-count independent (lane geometry lives in
 the runtime helpers exec'd alongside it), so it is content-addressed
@@ -68,6 +75,12 @@ _M64 = (1 << 64) - 1
 
 #: Bumped whenever the generated batched comb/tick source shape changes.
 BATCH_SCHEMA = 4
+
+#: ``backend="auto"`` runs the lane-parallel program from this many
+#: lanes up and lockstep scalar lanes below it: under it, per-clock
+#: NumPy dispatch costs more than one compiled sync pass per lane.  Set
+#: from the lane curve in ``BENCH_rtl.json`` (``batched.lane_curve``).
+BATCH_MIN_LANES = 32
 
 #: Process-wide generator activity for the batched code generator
 #: (mirrors ``compile.codegen_count`` / ``compile.cache_bind_count``).
@@ -1178,11 +1191,14 @@ class BatchSimulator:
       ``(lanes, depth)`` array (live on the batched backend, a snapshot
       on the fallback).
 
-    ``backend="auto"`` (default) uses the lane-parallel compiled program
-    when the netlist can be batched and falls back to N lockstep scalar
-    simulators otherwise (combinational cycles, >64-bit constructs);
-    ``backend="batched"`` raises :class:`CompileError` instead of
-    falling back; ``backend="scalar"`` forces the fallback.
+    ``backend="auto"`` (default) runs N lockstep scalar simulators
+    below :data:`BATCH_MIN_LANES` lanes, without compiling the batched
+    program.  From there up it uses the lane-parallel compiled program
+    when the netlist can be batched and falls back to scalar lanes
+    otherwise (combinational cycles, >64-bit constructs).
+    ``backend="batched"`` uses the lane-parallel program at any lane
+    count and raises :class:`CompileError` where it cannot be built;
+    ``backend="scalar"`` forces scalar lanes.
     """
 
     def __new__(cls, module, lanes=1, backend="auto"):
@@ -1190,7 +1206,8 @@ class BatchSimulator:
             return super().__new__(cls)
         if backend not in ("auto", "batched", "scalar"):
             raise ValueError(f"unknown batch backend {backend!r}")
-        if backend != "scalar":
+        if backend == "batched" or (backend == "auto"
+                                    and int(lanes) >= BATCH_MIN_LANES):
             try:
                 compile_module_batched(module)
             except CompileError:
@@ -1350,15 +1367,19 @@ class _NdBatchSimulator(BatchSimulator):
 class _LaneFallbackSimulator(BatchSimulator):
     """N lockstep scalar simulators behind the batched API.
 
-    Used when the netlist cannot be vectorized; each lane is a plain
-    :class:`Simulator` (itself compiled when schedulable, interpreted
-    otherwise), so per-lane semantics are identical by construction.
+    Used below :data:`BATCH_MIN_LANES` lanes and when the netlist cannot
+    be vectorized; each lane is a plain :class:`Simulator` (itself
+    compiled when schedulable, interpreted otherwise), so per-lane
+    semantics are identical by construction.
     """
 
     def __init__(self, module, lanes=1, backend="auto"):
         super().__init__(module, lanes, backend)
         self.backend = "scalar-lanes"
         self.sims = [Simulator(module) for _ in range(self.lanes)]
+        # A compiled lane has a one-sync-pass edge(); an interpreted
+        # lane (comb loop) only has the full tick().
+        self._edges = [getattr(sim, "edge", sim.tick) for sim in self.sims]
 
     def poke(self, signal, value, lane=None):
         if lane is not None:
@@ -1399,7 +1420,13 @@ class _LaneFallbackSimulator(BatchSimulator):
                 tracer(self.time, self)
 
     def edge(self):
-        # The scalar fallback has no cheaper path than a full tick; the
-        # extra comb passes are idempotent on settled state, so the
-        # observable (settle-point) behaviour matches _NdBatchSimulator.
-        self.tick()
+        """One clock edge on settled lanes, as :meth:`_NdBatchSimulator.edge`:
+        one sync pass per compiled lane, outputs stale until the next
+        :meth:`settle`."""
+        for edge in self._edges:
+            edge()
+        self.time += 1
+        if self._tracers:
+            self.settle()
+            for tracer in self._tracers:
+                tracer(self.time, self)

@@ -677,3 +677,15 @@ class CompiledSimulator(Simulator):
             comb(vals, mems)
             for tracer in self._tracers:
                 tracer(self.time, self)
+
+    def edge(self):
+        """One clock edge, assuming combinational state is settled (no
+        pokes since the last :meth:`settle`): one sync pass, with the
+        post-edge comb pass left to the caller's next :meth:`settle`.
+        Tracers observe settled state, so with any registered this is a
+        full :meth:`tick`."""
+        if self._tracers:
+            self.tick()
+            return
+        self._tick(self._vals, self._mems)
+        self.time += 1

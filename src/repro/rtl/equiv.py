@@ -138,9 +138,11 @@ def check_equivalence_batch(module_a, module_b, inputs, outputs,
     would; its report records ``truncated=True``.
 
     ``backend`` selects the batched backend (``"auto"``/``"batched"``/
-    ``"scalar"``); with ``"auto"``, netlists that cannot be vectorized
-    (comb loops, >64-bit signals) transparently fall back to lockstep
-    scalar lanes with identical semantics.
+    ``"scalar"``).  ``"auto"`` runs lockstep scalar lanes for fewer
+    than :data:`~repro.rtl.batched.BATCH_MIN_LANES` seeds, and for
+    netlists that cannot be vectorized (comb loops, >64-bit signals);
+    the lane-parallel program otherwise.  Reports are identical on
+    either.
     """
     from .batched import BatchSimulator  # lazy: pulls in NumPy
 

@@ -11,13 +11,20 @@ import random
 import numpy as np
 import pytest
 
+from tests.test_accel_winograd import _directed_sequence, small_cfu
 from tests.test_rtl_compile import _module_signals, _random_netlist
 
+from repro.accel import WinogradRtl
 from repro.accel.library import LIBRARY
 from repro.cfu import BatchRtlCfuDriver, RtlCfuAdapter
 from repro.cfu.testing import assert_equivalent
-from repro.dse.characterize import OPERAND_CLASSES, characterize_cfu
+from repro.dse.characterize import (
+    OPERAND_CLASSES,
+    characterization_targets,
+    characterize_cfu,
+)
 from repro.rtl import (
+    BATCH_MIN_LANES,
     BatchCompileError,
     BatchSimulator,
     CompileError,
@@ -25,6 +32,7 @@ from repro.rtl import (
     Signal,
     Simulator,
 )
+from repro.rtl.batched import _BATCH_PROGRAM_CACHE
 
 LANES = 3
 
@@ -37,7 +45,7 @@ def test_random_netlist_lockstep(seed):
     lane, for 12 cycles of per-lane random stimulus: every signal after
     every settle, every memory after every tick."""
     module, inputs, memories = _random_netlist(seed)
-    batch = BatchSimulator(module, lanes=LANES)
+    batch = BatchSimulator(module, lanes=LANES, backend="batched")
     interps = [Simulator(module, backend="interp") for _ in range(LANES)]
     compileds = [Simulator(module, backend="compiled") for _ in range(LANES)]
     rngs = [random.Random(seed * 7919 + lane) for lane in range(LANES)]
@@ -82,7 +90,7 @@ def _accumulator():
 
 def test_poke_broadcast_per_lane_and_single_lane():
     m, en, step, total = _accumulator()
-    sim = BatchSimulator(m, lanes=4)
+    sim = BatchSimulator(m, lanes=4, backend="batched")
     assert sim.backend == "batched"
     sim.poke(en, 1)                      # broadcast
     sim.poke(step, [1, 2, 3, 4])         # per-lane list
@@ -99,7 +107,7 @@ def test_poke_broadcast_per_lane_and_single_lane():
 
 def test_poke_rejects_wrong_lane_count():
     m, en, step, total = _accumulator()
-    sim = BatchSimulator(m, lanes=4)
+    sim = BatchSimulator(m, lanes=4, backend="batched")
     with pytest.raises(ValueError):
         sim.poke(step, [1, 2, 3])
 
@@ -108,7 +116,7 @@ def test_run_until_reports_per_lane_cycles():
     m, en, step, total = _accumulator()
     done = Signal(1, name="done")
     m.d.comb += done.eq(total >= 12)
-    sim = BatchSimulator(m, lanes=4)
+    sim = BatchSimulator(m, lanes=4, backend="batched")
     sim.poke(en, 1)
     sim.poke(step, [12, 6, 4, 3])
     cycles = sim.run_until(done)
@@ -121,7 +129,7 @@ def test_run_until_timeout_names_pending_lanes():
     m, en, step, total = _accumulator()
     done = Signal(1, name="done")
     m.d.comb += done.eq(total >= 12)
-    sim = BatchSimulator(m, lanes=3)
+    sim = BatchSimulator(m, lanes=3, backend="batched")
     sim.poke(en, [1, 0, 1])
     sim.poke(step, 12)
     with pytest.raises(TimeoutError, match=r"\[1\]"):
@@ -130,8 +138,8 @@ def test_run_until_timeout_names_pending_lanes():
 
 def test_edge_then_settle_matches_tick():
     m, en, step, total = _accumulator()
-    a = BatchSimulator(m, lanes=2)
-    b = BatchSimulator(m, lanes=2)
+    a = BatchSimulator(m, lanes=2, backend="batched")
+    b = BatchSimulator(m, lanes=2, backend="batched")
     for sim in (a, b):
         sim.poke(en, 1)
         sim.poke(step, [5, 7])
@@ -155,7 +163,8 @@ def _comb_loop_module():
 
 
 def test_comb_loop_falls_back_to_scalar_lanes():
-    sim = BatchSimulator(_comb_loop_module(), lanes=2)
+    # At BATCH_MIN_LANES "auto" tries the batched program first.
+    sim = BatchSimulator(_comb_loop_module(), lanes=BATCH_MIN_LANES)
     assert sim.backend == "scalar-lanes"
     sim.settle()  # interpreter fixpoint per lane; must not raise
 
@@ -178,16 +187,17 @@ def test_wide_state_signal_falls_back():
     x = Signal(8, name="x")
     acc = Signal(80, name="acc")  # wider than a 64-bit lane slot
     m.d.sync += acc.eq((acc + x)[0:80])
-    sim = BatchSimulator(m, lanes=2)
+    sim = BatchSimulator(m, lanes=BATCH_MIN_LANES)
     assert sim.backend == "scalar-lanes"
-    sim.poke(x, [1, 3])
+    steps = list(range(BATCH_MIN_LANES))
+    sim.poke(x, steps)
     sim.tick(cycles=4)
-    assert sim.peek_lanes(acc).tolist() == [4, 12]
+    assert sim.peek_lanes(acc).tolist() == [4 * step for step in steps]
 
 
 def test_backend_scalar_forces_fallback_with_identical_results():
     m, en, step, total = _accumulator()
-    fast = BatchSimulator(m, lanes=3)
+    fast = BatchSimulator(m, lanes=3, backend="batched")
     slow = BatchSimulator(m, lanes=3, backend="scalar")
     assert fast.backend == "batched" and slow.backend == "scalar-lanes"
     for sim in (fast, slow):
@@ -210,7 +220,7 @@ def _library_cfu(name="popcount"):
     return model_cls, rtl_cls, list(opcodes)
 
 
-@pytest.mark.parametrize("backend", ["auto", "scalar"])
+@pytest.mark.parametrize("backend", ["auto", "batched", "scalar"])
 def test_batch_driver_matches_scalar_adapter(backend):
     """Ragged lanes (including an empty one): per-lane (result, cycles)
     streams equal a scalar compiled adapter run of the same sequence."""
@@ -245,7 +255,7 @@ def test_batch_driver_lane_count_mismatch():
 def test_assert_equivalent_batched_lanes():
     model_cls, rtl_cls, opcodes = _library_cfu()
     reports = assert_equivalent(rtl_cls(), model_cls(), opcodes,
-                                count=20, seed=5, lanes=6)
+                                count=20, seed=5, lanes=6, backend="batched")
     assert len(reports) == 6
     assert all(r.passed and r.total == 20 for r in reports)
 
@@ -260,14 +270,16 @@ def test_assert_equivalent_batched_reports_lane_and_seed():
 
     with pytest.raises(AssertionError, match="lane"):
         assert_equivalent(rtl_cls(), WrongModel(), opcodes,
-                          count=5, seed=5, lanes=3)
+                          count=5, seed=5, lanes=3, backend="batched")
 
 
 def test_characterize_cfu_envelope():
     _, rtl_cls, opcodes = _library_cfu()
     envelope = characterize_cfu(rtl_cls(), opcodes, ops=6, seed=1)
     assert envelope.lanes == len(opcodes) * len(OPERAND_CLASSES)
-    assert envelope.backend == "batched"
+    assert envelope.backend == ("batched"
+                                if envelope.lanes >= BATCH_MIN_LANES
+                                else "scalar-lanes")
     assert len(envelope.profiles) == envelope.lanes
     for profile in envelope.profiles:
         assert profile.ops == 6
@@ -276,3 +288,120 @@ def test_characterize_cfu_envelope():
     # Reproducible: same seed, same envelope record.
     again = characterize_cfu(rtl_cls(), opcodes, ops=6, seed=1)
     assert again.to_record() == envelope.to_record()
+
+
+# --- lane policy and the scalar-lanes edge ------------------------------------
+
+def test_auto_picks_backend_by_lane_count():
+    m, *_ = _accumulator()
+    narrow = BatchSimulator(m, lanes=BATCH_MIN_LANES - 1)
+    assert narrow.backend == "scalar-lanes"
+    # Below the threshold "auto" never builds the batched program.
+    assert m not in _BATCH_PROGRAM_CACHE
+    assert BatchSimulator(m, lanes=BATCH_MIN_LANES).backend == "batched"
+    assert BatchSimulator(m, lanes=1, backend="batched").backend == "batched"
+    assert BatchSimulator(m, lanes=256, backend="scalar").backend \
+        == "scalar-lanes"
+
+
+def _shipped_sequences(name, lanes, ops=12):
+    """(gateware factory, per-lane op streams) for a shipped CFU."""
+    if name == "winograd":
+        return (lambda: WinogradRtl(**small_cfu()),
+                [_directed_sequence(lane, rounds=1) for lane in range(lanes)])
+    target = characterization_targets()[name]
+    sequences = []
+    for lane in range(lanes):
+        rng = random.Random(f"{name}:{lane}")
+        sequence = list(target.setup(rng)) if target.setup else []
+        sequence += [(f3, f7, rng.getrandbits(32), rng.getrandbits(32))
+                     for f3, f7 in (rng.choice(target.opcodes)
+                                    for _ in range(ops))]
+        sequences.append(sequence)
+    return target.factory, sequences
+
+
+@pytest.mark.parametrize("name", ["kws-cfu2", "mnv2-mac4", "mnv2-postproc",
+                                  "mnv2-cfu1", "winograd"])
+def test_scalar_lanes_driver_matches_adapter(name):
+    """The one-sync-pass edge() of compiled lanes: every (result,
+    cycles) pair equals the scalar adapter's, whose tick() runs the
+    full comb/sync/comb cycle."""
+    factory, sequences = _shipped_sequences(name, lanes=3)
+    driver = BatchRtlCfuDriver(factory(), lanes=3)
+    assert driver.backend == "scalar-lanes"
+    assert all(sim.backend == "compiled" for sim in driver.sim.sims)
+    expected = []
+    for sequence in sequences:
+        adapter = RtlCfuAdapter(factory())
+        expected.append([adapter.execute(*op) for op in sequence])
+    assert driver.run(sequences) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_edge_then_settle_matches_tick(seed):
+    module, inputs, memories = _random_netlist(seed)
+    ticked = Simulator(module, backend="interp")
+    edged = Simulator(module, backend="compiled")
+    rng = random.Random(seed)
+    for _ in range(10):
+        for sig in inputs:
+            value = rng.getrandbits(sig.width)
+            ticked.poke(sig, value)
+            edged.poke(sig, value)
+        ticked.tick()
+        edged.settle()
+        edged.edge()
+        edged.settle()
+        for sig in _module_signals(module):
+            assert edged.peek(sig) == ticked.peek(sig), (seed, sig.name)
+        for mem in memories:
+            assert edged.memory(mem) == ticked.memory(mem), seed
+    assert edged.time == ticked.time == 10
+
+
+def _looped_counter():
+    """A sync counter next to a comb loop: no lane can be compiled."""
+    m = _comb_loop_module()
+    step = Signal(8, name="step")
+    count = Signal(8, name="count")
+    m.d.sync += count.eq((count + step)[0:8])
+    return m, step, count
+
+
+@pytest.mark.parametrize("lanes", [2, BATCH_MIN_LANES])
+def test_interpreted_lanes_edge_and_tracer(lanes):
+    m, step, count = _looped_counter()
+    sim = BatchSimulator(m, lanes=lanes)
+    assert sim.backend == "scalar-lanes"
+    assert all(lane.backend == "interp" for lane in sim.sims)
+    seen = []
+    sim.add_tracer(lambda time, s: seen.append(
+        (time, s.peek_lanes(count).tolist())))
+    steps = [lane + 1 for lane in range(lanes)]
+    sim.poke(step, steps)
+    for _ in range(3):
+        sim.settle()
+        sim.edge()
+    sim.settle()
+    assert sim.peek_lanes(count).tolist() == [3 * s for s in steps]
+    assert seen == [(t, [t * s for s in steps]) for t in (1, 2, 3)]
+
+
+def test_compiled_edge_with_tracer_fires_once_per_edge():
+    m, en, step, total = _accumulator()
+    sim = BatchSimulator(m, lanes=2, backend="scalar")
+    seen = []
+    sim.add_tracer(lambda time, s: seen.append(
+        (time, s.peek_lanes(total).tolist())))
+    lane_seen = []
+    sim.sims[0].add_tracer(lambda time, s: lane_seen.append(
+        (time, s.peek(total))))
+    sim.poke(en, 1)
+    sim.poke(step, [2, 5])
+    for _ in range(3):
+        sim.settle()
+        sim.edge()
+    # Tracers see settled state: a traced lane edge is a full tick.
+    assert seen == [(1, [2, 5]), (2, [4, 10]), (3, [6, 15])]
+    assert lane_seen == [(1, 2), (2, 4), (3, 6)]

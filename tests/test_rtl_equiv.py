@@ -168,7 +168,8 @@ def test_batch_reports_match_sequential():
     seeds = [0, 1, 2, 3, 4]
     kwargs = dict(inputs=[(a1, a2), (b1, b2)], outputs=[(o1, o2)],
                   cycles=40, max_mismatches=5)
-    batch = check_equivalence_batch(m1, m2, seeds=seeds, **kwargs)
+    batch = check_equivalence_batch(m1, m2, seeds=seeds, backend="batched",
+                                    **kwargs)
     for seed, report in zip(seeds, batch):
         sequential = check_equivalence(m1, m2, seed=seed, **kwargs)
         assert report.seed == sequential.seed == seed
@@ -185,7 +186,7 @@ def test_batch_equivalent_modules_all_pass():
     m2, a2, b2, o2 = make_abs_diff_if()
     reports = check_equivalence_batch(
         m1, m2, inputs=[(a1, a2), (b1, b2)], outputs=[(o1, o2)],
-        seeds=range(8), cycles=30)
+        seeds=range(8), cycles=30, backend="batched")
     assert len(reports) == 8
     assert all(r.equivalent and r.cycles == 30 for r in reports)
     assert check_equivalence_batch(m1, m2, inputs=[(a1, a2), (b1, b2)],
