@@ -59,6 +59,64 @@ class RtlCfu:
         return emit_verilog(self.module, ports=self.ports.all())
 
 
+def input_slots(sim, ports):
+    """The six CPU-driven CFU inputs of a scalar simulator, resolved once
+    (:meth:`~repro.rtl.sim.Simulator.input_slot`), in the order
+    :func:`handshake` writes them."""
+    return tuple(sim.input_slot(signal) for signal in (
+        ports.cmd_valid, ports.cmd_funct3, ports.cmd_funct7,
+        ports.cmd_in0, ports.cmd_in1, ports.rsp_ready))
+
+
+def handshake(sim, slots, ports, funct3, funct7, a, b, timeout, name):
+    """One CFU instruction through the handshake on a scalar simulator:
+    present the command, wait for ``cmd_ready``, wait for ``rsp_valid``,
+    consume.  Returns ``(result, cycles)``, cycles counted from command
+    acceptance to response.
+
+    Every clock is one :meth:`settle` and one :meth:`edge`.  The op
+    leaves the simulator edge-pending: the final edge's comb pass is
+    the next op's post-poke settle.
+    """
+    (valid, kv), (f3, k3), (f7, k7), (in0, k0), (in1, k1), (ready, kr) \
+        = slots
+    valid[kv] = 1
+    f3[k3] = funct3 & 0x7
+    f7[k7] = funct7 & 0x7F
+    in0[k0] = a & 0xFFFFFFFF
+    in1[k1] = b & 0xFFFFFFFF
+    ready[kr] = 1
+    settle, edge, peek = sim.settle, sim.edge, sim.peek
+    settle()
+    # Wait for the CFU to accept the command.
+    waited = 0
+    while not peek(ports.cmd_ready):
+        edge()
+        waited += 1
+        if waited > timeout:
+            raise CfuError(f"{name}: command never accepted")
+        settle()
+    # Cycle 1: command presented and accepted.  A combinational CFU
+    # answers within this cycle; sequential CFUs answer after one or
+    # more clock edges.
+    cycles = 1
+    if not peek(ports.rsp_valid):
+        edge()  # the command is latched
+        valid[kv] = 0
+        settle()
+        while not peek(ports.rsp_valid):
+            edge()
+            cycles += 1
+            if cycles > timeout:
+                raise CfuError(f"{name}: no response after {cycles} cycles")
+            settle()
+        cycles += 1
+    result = peek(ports.rsp_out)
+    edge()  # response consumed, instruction retired
+    valid[kv] = 0
+    return result, cycles
+
+
 class RtlCfuAdapter:
     """Drives an :class:`RtlCfu` through its handshake, cycle-accurately.
 
@@ -66,20 +124,25 @@ class RtlCfuAdapter:
     ISA machine (or the golden-test harness) can run against real
     gateware.  Reported latency is the measured number of clock cycles
     from command acceptance to response.
+
+    After :meth:`execute` the simulator is edge-pending (see
+    :func:`handshake`): call ``self.sim.settle()`` before peeking a
+    combinational signal.
     """
 
     def __init__(self, rtl_cfu, timeout=4096, backend="auto"):
         self.rtl = rtl_cfu
         self.backend = backend
-        self.sim = Simulator(rtl_cfu.module, backend=backend)
         self.ports = rtl_cfu.ports
         self.timeout = timeout
         self.name = f"{rtl_cfu.name} (rtl)"
+        self.reset()
 
     def reset(self):
         # The compiled program is cached per module, so this re-inits
         # slot and memory state without re-elaborating or re-scheduling.
         self.sim = Simulator(self.rtl.module, backend=self.backend)
+        self._slots = input_slots(self.sim, self.ports)
 
     def snapshot_state(self):
         """Capture the live simulator state (both backends)."""
@@ -95,8 +158,9 @@ class RtlCfuAdapter:
                 "time": sim.time}
 
     def restore_state(self, state):
-        """Restore a :meth:`snapshot_state` in place (signal/memory
-        container identities are preserved)."""
+        """Restore a :meth:`snapshot_state` in place: signal and memory
+        containers keep their identity, so resolved input slots stay
+        valid."""
         sim = self.sim
         if state["backend"] == "compiled":
             if not hasattr(sim, "_vals"):
@@ -116,61 +180,27 @@ class RtlCfuAdapter:
         sim.time = state["time"]
 
     def execute(self, funct3, funct7, a, b):
-        sim, ports = self.sim, self.ports
-        sim.poke(ports.cmd_valid, 1)
-        sim.poke(ports.cmd_funct3, funct3 & 0x7)
-        sim.poke(ports.cmd_funct7, funct7 & 0x7F)
-        sim.poke(ports.cmd_in0, a & 0xFFFFFFFF)
-        sim.poke(ports.cmd_in1, b & 0xFFFFFFFF)
-        sim.poke(ports.rsp_ready, 1)
-        sim.settle()
-        # Wait for the CFU to accept the command.
-        waited = 0
-        while not sim.peek(ports.cmd_ready):
-            sim.tick()
-            waited += 1
-            if waited > self.timeout:
-                raise CfuError(f"{self.name}: command never accepted")
-        # Cycle 1: command presented and accepted.  A combinational CFU
-        # answers within this cycle; sequential CFUs answer after one or
-        # more clock edges.
-        cycles = 1
-        if sim.peek(ports.rsp_valid):
-            result = sim.peek(ports.rsp_out)
-            sim.tick()  # consume the response, retire the instruction
-            sim.poke(ports.cmd_valid, 0)
-            sim.settle()
-            return result, cycles
-        sim.tick()  # edge on which the command is latched
-        sim.poke(ports.cmd_valid, 0)
-        sim.settle()
-        while not sim.peek(ports.rsp_valid):
-            sim.tick()
-            cycles += 1
-            if cycles > self.timeout:
-                raise CfuError(f"{self.name}: no response after {cycles} cycles")
-        cycles += 1
-        result = sim.peek(ports.rsp_out)
-        sim.tick()  # response consumed
-        return result, cycles
+        return handshake(self.sim, self._slots, self.ports, funct3, funct7,
+                      a, b, self.timeout, self.name)
 
     def resources(self):
         return self.rtl.resources()
 
 
 class BatchRtlCfuDriver:
-    """Drives N independent op sequences through ONE lane-parallel
-    simulation of an :class:`RtlCfu`.
+    """Drives N independent op sequences through one
+    :class:`~repro.rtl.BatchSimulator` of an :class:`RtlCfu`.
 
-    Each lane replays :meth:`RtlCfuAdapter.execute`'s handshake as a
-    little state machine on the shared clock: present-and-wait for
-    ``cmd_ready``, latch, wait for ``rsp_valid``, consume, then present
-    the lane's next op immediately (exactly the poke sequence the
-    scalar adapter produces, which never drops ``cmd_valid`` across a
-    tick between back-to-back ops).  Per-lane results *and* cycle
-    counts are therefore bit-identical to running the scalar adapter
-    once per sequence — the lockstep clock is invisible to a lane
-    because lanes never share state.
+    Per-lane results *and* cycle counts are bit-identical to running
+    the scalar adapter once per sequence, on every backend.  On scalar
+    lanes each lane runs its sequence through :func:`handshake` on its own
+    simulator: lanes share no state, so they need no common clock.  The
+    batched program runs the lanes in lockstep, with the handshake
+    replayed per lane as a little state machine on the shared clock:
+    present-and-wait for ``cmd_ready``, latch, wait for ``rsp_valid``,
+    consume, then present the lane's next op immediately (the write
+    order of :func:`handshake`, which never drops ``cmd_valid`` across a
+    clock edge between back-to-back ops).
     """
 
     def __init__(self, rtl_cfu, lanes, timeout=4096, backend="auto"):
@@ -190,21 +220,41 @@ class BatchRtlCfuDriver:
 
     def run(self, sequences):
         """Run one op sequence per lane; lanes may have different
-        lengths (short lanes idle with ``cmd_valid`` low once done).
+        lengths.
 
         Returns a list of ``[(result, cycles), ...]`` per lane.
-
-        The per-cycle handshake bookkeeping is fully vectorized: lane
-        states, op cursors, and results live in whole-lane ndarrays, so
-        a clock of N lanes costs a fixed number of array operations
-        rather than a Python loop over lanes.
         """
-        import numpy as np
-
         if len(sequences) != self.lanes:
             raise ValueError(
                 f"{self.name}: {len(sequences)} sequences for "
                 f"{self.lanes} lanes")
+        sim = self.sim
+        # Batch-level tracers observe every lane at every clock, so a
+        # traced scalar-lanes simulator keeps the lockstep loop.
+        if sim.backend != "scalar-lanes" or sim._tracers:
+            return self._run_lockstep(sequences)
+        ports, timeout = self.ports, self.timeout
+        results = []
+        for lane, (lane_sim, sequence) in enumerate(zip(sim.sims,
+                                                        sequences)):
+            slots = input_slots(lane_sim, ports)
+            name = f"{self.name}: lane {lane}"
+            results.append([handshake(lane_sim, slots, ports, *op, timeout,
+                                   name) for op in sequence])
+        sim.time = max(lane_sim.time for lane_sim in sim.sims)
+        return results
+
+    def _run_lockstep(self, sequences):
+        """All lanes on one clock; short lanes idle with ``cmd_valid``
+        low once done.
+
+        The per-cycle handshake bookkeeping is vectorized: lane states,
+        op cursors, and results live in whole-lane ndarrays, so a clock
+        of N lanes costs a fixed number of array operations rather than
+        a Python loop over lanes.
+        """
+        import numpy as np
+
         sim, ports = self.sim, self.ports
         lanes = self.lanes
         PRESENT, WAIT_RSP, DONE = 0, 1, 2
@@ -309,7 +359,7 @@ class BatchRtlCfuDriver:
             # equivalent to (and 3x cheaper than) a full tick() here.
             sim.edge()
             # Bus updates below take effect at the next settle — after
-            # the edge, exactly like the scalar adapter's poke order.
+            # the edge, in handshake's write order.
             if has_accepted or has_consumed:
                 if latched.any():
                     state[latched] = WAIT_RSP

@@ -36,7 +36,10 @@ Memory arrays *are* mutated in place, so every memory read copies.
 :data:`BATCH_MIN_LANES` lanes, where per-clock NumPy dispatch costs
 more than it saves, it runs N lockstep scalar
 :class:`~repro.rtl.sim.Simulator` instances behind the same API
-(``"scalar-lanes"``) and never compiles the batched program.  From
+(``"scalar-lanes"``) and never compiles the batched program.  Their
+lanes are plain simulators, so
+:class:`~repro.cfu.rtl.BatchRtlCfuDriver` runs them one lane at a time
+through the scalar CFU handshake, with no shared clock.  From
 :data:`BATCH_MIN_LANES` up it runs the lane-parallel program, unless
 the netlist cannot be batched (combinational cycle, a >64-bit signal
 or memory, or a construct listed in :func:`_batch_block_reason`), in
@@ -77,10 +80,12 @@ _M64 = (1 << 64) - 1
 BATCH_SCHEMA = 4
 
 #: ``backend="auto"`` runs the lane-parallel program from this many
-#: lanes up and lockstep scalar lanes below it: under it, per-clock
-#: NumPy dispatch costs more than one compiled sync pass per lane.  Set
-#: from the lane curve in ``BENCH_rtl.json`` (``batched.lane_curve``).
-BATCH_MIN_LANES = 32
+#: lanes up and scalar lanes below it: under it, per-clock NumPy
+#: dispatch costs more than one compiled comb and sync pass per lane
+#: and clock.  Set from the lane curve in ``BENCH_rtl.json``
+#: (``batched.lane_curve``): every shipped CFU's crossover is at or
+#: below it.
+BATCH_MIN_LANES = 64
 
 #: Process-wide generator activity for the batched code generator
 #: (mirrors ``compile.codegen_count`` / ``compile.cache_bind_count``).
@@ -1377,9 +1382,6 @@ class _LaneFallbackSimulator(BatchSimulator):
         super().__init__(module, lanes, backend)
         self.backend = "scalar-lanes"
         self.sims = [Simulator(module) for _ in range(self.lanes)]
-        # A compiled lane has a one-sync-pass edge(); an interpreted
-        # lane (comb loop) only has the full tick().
-        self._edges = [getattr(sim, "edge", sim.tick) for sim in self.sims]
 
     def poke(self, signal, value, lane=None):
         if lane is not None:
@@ -1421,10 +1423,10 @@ class _LaneFallbackSimulator(BatchSimulator):
 
     def edge(self):
         """One clock edge on settled lanes, as :meth:`_NdBatchSimulator.edge`:
-        one sync pass per compiled lane, outputs stale until the next
+        one sync pass per lane, outputs stale until the next
         :meth:`settle`."""
-        for edge in self._edges:
-            edge()
+        for sim in self.sims:
+            sim.edge()
         self.time += 1
         if self._tracers:
             self.settle()

@@ -658,6 +658,14 @@ class CompiledSimulator(Simulator):
         else:
             self._vals[index] = to_unsigned(int(value), signal.width)
 
+    def input_slot(self, signal):
+        if id(signal) in self.program.driven_ids:
+            raise ValueError(f"cannot poke driven signal {signal.name}")
+        index = self._slot_of.get(id(signal))
+        if index is None:
+            return self._extra, id(signal)
+        return self._vals, index
+
     def peek(self, signal):
         index = self._slot_of.get(id(signal))
         if index is not None:

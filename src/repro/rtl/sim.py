@@ -108,6 +108,15 @@ class Simulator:
             raise ValueError(f"cannot poke driven signal {signal.name}")
         self.env[signal] = to_unsigned(int(value), signal.width)
 
+    def input_slot(self, signal):
+        """Resolve an input once for hot loops: a ``(store, key)`` pair
+        such that ``store[key] = value`` is :meth:`poke` for a value
+        already masked to the signal's width.  The pair stays valid
+        until the simulator is rebuilt."""
+        if signal in self._comb_driven or signal in self._sync_driven:
+            raise ValueError(f"cannot poke driven signal {signal.name}")
+        return self.env, signal
+
     def peek(self, signal):
         """Read a signal's current unsigned bit pattern."""
         return self.env.get(signal, signal.reset)
@@ -162,6 +171,20 @@ class Simulator:
             self.settle()
             for tracer in self._tracers:
                 tracer(self.time, self)
+
+    def edge(self):
+        """One clock edge, assuming combinational state is settled (no
+        pokes since the last :meth:`settle`): the sync half of
+        :meth:`tick`, with the post-edge settle left to the caller.
+        Tracers observe settled state, so with any registered this is a
+        full :meth:`tick`."""
+        if self._tracers:
+            self.tick()
+            return
+        next_vals = self._sync_pass()
+        self._memory_cycle(next_vals)
+        self.env.update(next_vals)
+        self.time += 1
 
     def run_until(self, signal, value=1, timeout=10_000):
         """Tick until ``signal == value``; returns elapsed cycles."""

@@ -324,9 +324,8 @@ def _shipped_sequences(name, lanes, ops=12):
 @pytest.mark.parametrize("name", ["kws-cfu2", "mnv2-mac4", "mnv2-postproc",
                                   "mnv2-cfu1", "winograd"])
 def test_scalar_lanes_driver_matches_adapter(name):
-    """The one-sync-pass edge() of compiled lanes: every (result,
-    cycles) pair equals the scalar adapter's, whose tick() runs the
-    full comb/sync/comb cycle."""
+    """Scalar lanes run the adapter's handshake lane by lane: every
+    (result, cycles) pair equals the scalar adapter's."""
     factory, sequences = _shipped_sequences(name, lanes=3)
     driver = BatchRtlCfuDriver(factory(), lanes=3)
     assert driver.backend == "scalar-lanes"
