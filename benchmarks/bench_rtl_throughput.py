@@ -36,7 +36,7 @@ Knobs:
 - ``REPRO_WINOGRAD_SPEEDUP_MIN``    ladder cycle-reduction bar (default 5.0)
 - ``REPRO_RTL_BATCHED_LANES``       lanes per batched workload (default 256)
 - ``REPRO_RTL_BATCHED_OPS``         ops per lane, headline and curve (default 40)
-- ``REPRO_RTL_BATCHED_SPEEDUP_MIN`` aggregate speedup bar (default 3.0)
+- ``REPRO_RTL_BATCHED_SPEEDUP_MIN`` aggregate speedup bar (default 2.5)
 - ``REPRO_RTL_BATCHED_TRIALS``      interleaved timing trials per side, best-of (default 5)
 """
 
@@ -66,7 +66,7 @@ SPEEDUP_MIN = float(os.environ.get("REPRO_RTL_SPEEDUP_MIN", "5.0"))
 WINOGRAD_MIN = float(os.environ.get("REPRO_WINOGRAD_SPEEDUP_MIN", "5.0"))
 BATCH_LANES = int(os.environ.get("REPRO_RTL_BATCHED_LANES", "256"))
 BATCH_OPS = int(os.environ.get("REPRO_RTL_BATCHED_OPS", "40"))
-BATCH_MIN = float(os.environ.get("REPRO_RTL_BATCHED_SPEEDUP_MIN", "3.0"))
+BATCH_MIN = float(os.environ.get("REPRO_RTL_BATCHED_SPEEDUP_MIN", "2.5"))
 BATCH_TRIALS = int(os.environ.get("REPRO_RTL_BATCHED_TRIALS", "5"))
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_rtl.json")
 CURVE_LANES = (1, 4, 16, 32, 64, 128, 256)
