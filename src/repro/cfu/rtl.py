@@ -60,23 +60,20 @@ class RtlCfu:
 
 
 def input_slots(sim, ports):
-    """The six CPU-driven CFU inputs of a scalar simulator, resolved once
-    (:meth:`~repro.rtl.sim.Simulator.input_slot`), in the order
-    :func:`handshake` writes them."""
+    """The six CPU-driven ports of ``sim`` as :meth:`Simulator.input_slot`
+    pairs, in :func:`handshake`'s order."""
     return tuple(sim.input_slot(signal) for signal in (
         ports.cmd_valid, ports.cmd_funct3, ports.cmd_funct7,
         ports.cmd_in0, ports.cmd_in1, ports.rsp_ready))
 
 
 def handshake(sim, slots, ports, funct3, funct7, a, b, timeout, name):
-    """One CFU instruction through the handshake on a scalar simulator:
-    present the command, wait for ``cmd_ready``, wait for ``rsp_valid``,
-    consume.  Returns ``(result, cycles)``, cycles counted from command
-    acceptance to response.
+    """One CFU instruction on a scalar simulator; returns ``(result,
+    cycles)``, cycles counted from command acceptance to response.
 
-    Every clock is one :meth:`settle` and one :meth:`edge`.  The op
-    leaves the simulator edge-pending: the final edge's comb pass is
-    the next op's post-poke settle.
+    Every clock is one ``settle()`` and one ``edge()``.  The op leaves
+    the simulator edge-pending: the final edge's comb pass is the next
+    op's post-poke settle.
     """
     (valid, kv), (f3, k3), (f7, k7), (in0, k0), (in1, k1), (ready, kr) \
         = slots
@@ -180,8 +177,8 @@ class RtlCfuAdapter:
         sim.time = state["time"]
 
     def execute(self, funct3, funct7, a, b):
-        return handshake(self.sim, self._slots, self.ports, funct3, funct7,
-                      a, b, self.timeout, self.name)
+        return handshake(self.sim, self._slots, self.ports, funct3,
+                         funct7, a, b, self.timeout, self.name)
 
     def resources(self):
         return self.rtl.resources()
@@ -191,16 +188,14 @@ class BatchRtlCfuDriver:
     """Drives N independent op sequences through one
     :class:`~repro.rtl.BatchSimulator` of an :class:`RtlCfu`.
 
-    Per-lane results *and* cycle counts are bit-identical to running
-    the scalar adapter once per sequence, on every backend.  On scalar
-    lanes each lane runs its sequence through :func:`handshake` on its own
-    simulator: lanes share no state, so they need no common clock.  The
-    batched program runs the lanes in lockstep, with the handshake
-    replayed per lane as a little state machine on the shared clock:
-    present-and-wait for ``cmd_ready``, latch, wait for ``rsp_valid``,
-    consume, then present the lane's next op immediately (the write
-    order of :func:`handshake`, which never drops ``cmd_valid`` across a
-    clock edge between back-to-back ops).
+    Scalar lanes share no state, so each runs its sequence through
+    :func:`handshake` on its own simulator.  The batched program runs
+    all lanes in lockstep, replaying the handshake per lane as a little
+    state machine on the shared clock: present-and-wait for
+    ``cmd_ready``, latch, wait for ``rsp_valid``, consume, then present
+    the lane's next op immediately (:func:`handshake`'s write order).
+    Per-lane results *and* cycle counts are bit-identical to the scalar
+    adapter's on every backend.
     """
 
     def __init__(self, rtl_cfu, lanes, timeout=4096, backend="auto"):
@@ -220,42 +215,34 @@ class BatchRtlCfuDriver:
 
     def run(self, sequences):
         """Run one op sequence per lane; lanes may have different
-        lengths.
+        lengths (short lanes idle with ``cmd_valid`` low once done).
 
         Returns a list of ``[(result, cycles), ...]`` per lane.
+
+        The lockstep handshake bookkeeping is vectorized: lane states,
+        op cursors, and results live in whole-lane ndarrays, so a clock
+        of N lanes costs a fixed number of array operations rather than
+        a Python loop over lanes.
         """
         if len(sequences) != self.lanes:
             raise ValueError(
                 f"{self.name}: {len(sequences)} sequences for "
                 f"{self.lanes} lanes")
-        sim = self.sim
+        sim, ports = self.sim, self.ports
         # Batch-level tracers observe every lane at every clock, so a
         # traced scalar-lanes simulator keeps the lockstep loop.
-        if sim.backend != "scalar-lanes" or sim._tracers:
-            return self._run_lockstep(sequences)
-        ports, timeout = self.ports, self.timeout
-        results = []
-        for lane, (lane_sim, sequence) in enumerate(zip(sim.sims,
-                                                        sequences)):
-            slots = input_slots(lane_sim, ports)
-            name = f"{self.name}: lane {lane}"
-            results.append([handshake(lane_sim, slots, ports, *op, timeout,
-                                   name) for op in sequence])
-        sim.time = max(lane_sim.time for lane_sim in sim.sims)
-        return results
-
-    def _run_lockstep(self, sequences):
-        """All lanes on one clock; short lanes idle with ``cmd_valid``
-        low once done.
-
-        The per-cycle handshake bookkeeping is vectorized: lane states,
-        op cursors, and results live in whole-lane ndarrays, so a clock
-        of N lanes costs a fixed number of array operations rather than
-        a Python loop over lanes.
-        """
+        if sim.backend == "scalar-lanes" and not sim._tracers:
+            results = []
+            for lane, (one, sequence) in enumerate(zip(sim.sims, sequences)):
+                slots = input_slots(one, ports)
+                name = f"{self.name}: lane {lane}"
+                results.append([handshake(one, slots, ports, *op,
+                                          self.timeout, name)
+                                for op in sequence])
+            sim.time = max(one.time for one in sim.sims)
+            return results
         import numpy as np
 
-        sim, ports = self.sim, self.ports
         lanes = self.lanes
         PRESENT, WAIT_RSP, DONE = 0, 1, 2
         lengths = np.array([len(s) for s in sequences], dtype=np.int64)

@@ -48,7 +48,6 @@ from .ast import (
     Signal,
     Slice,
     Repl,
-    to_unsigned,
 )
 from .dsl import Module
 from .lint import find_comb_cycle
@@ -649,15 +648,6 @@ class CompiledSimulator(Simulator):
         self._comb(self._vals, self._mems)
 
     # --- public API ------------------------------------------------------------
-    def poke(self, signal, value):
-        if id(signal) in self.program.driven_ids:
-            raise ValueError(f"cannot poke driven signal {signal.name}")
-        index = self._slot_of.get(id(signal))
-        if index is None:
-            self._extra[id(signal)] = to_unsigned(int(value), signal.width)
-        else:
-            self._vals[index] = to_unsigned(int(value), signal.width)
-
     def input_slot(self, signal):
         if id(signal) in self.program.driven_ids:
             raise ValueError(f"cannot poke driven signal {signal.name}")

@@ -104,15 +104,13 @@ class Simulator:
     # --- public API --------------------------------------------------------------
     def poke(self, signal, value):
         """Force an undriven (input) signal to a value."""
-        if signal in self._comb_driven or signal in self._sync_driven:
-            raise ValueError(f"cannot poke driven signal {signal.name}")
-        self.env[signal] = to_unsigned(int(value), signal.width)
+        store, key = self.input_slot(signal)
+        store[key] = to_unsigned(int(value), signal.width)
 
     def input_slot(self, signal):
-        """Resolve an input once for hot loops: a ``(store, key)`` pair
-        such that ``store[key] = value`` is :meth:`poke` for a value
-        already masked to the signal's width.  The pair stays valid
-        until the simulator is rebuilt."""
+        """``(store, key)`` such that ``store[key] = value`` is
+        :meth:`poke` of a value already masked to the signal's width;
+        valid for this simulator's lifetime."""
         if signal in self._comb_driven or signal in self._sync_driven:
             raise ValueError(f"cannot poke driven signal {signal.name}")
         return self.env, signal
@@ -173,11 +171,9 @@ class Simulator:
                 tracer(self.time, self)
 
     def edge(self):
-        """One clock edge, assuming combinational state is settled (no
-        pokes since the last :meth:`settle`): the sync half of
-        :meth:`tick`, with the post-edge settle left to the caller.
-        Tracers observe settled state, so with any registered this is a
-        full :meth:`tick`."""
+        """The sync half of :meth:`tick`, on settled state; the caller's
+        next :meth:`settle` is the post-edge comb pass.  Tracers observe
+        settled state, so with any registered this is a full tick."""
         if self._tracers:
             self.tick()
             return
